@@ -8,6 +8,7 @@ from .gf2 import (
     GF,
     default_modulus,
     embed_subfield,
+    linear_table,
     unit_circle,
     unit_circle_element,
 )
@@ -20,6 +21,7 @@ from .boolfn import (
     is_bent,
     anf,
     anf_degree,
+    line_forms,
     has_affine_coset_restrictions,
 )
 from .niho import (

@@ -12,10 +12,11 @@ and G(z) = H(z) + mu z is the object of interest: f is bent exactly when
 z -> G(z) + beta z is 2-to-1 for every beta != 0, which makes G an oval
 polynomial (o-polynomial) of the projective plane PG(2, 2^m).
 
-extract_h_mu recovers H and mu from a bivariate table by solving for each
-line with the trace-dual basis, then verifying the linear form on every
-point, so a successful return is a proof that the table is in the class
-described above.
+extract_h_mu recovers H and mu from a bivariate table: boolfn.line_forms
+reads the GF(2) functional of every line and verifies it on every point,
+and the trace-dual basis turns each functional into the field element it
+pairs with, so a successful return is a proof that the table is in the
+class described above.
 
 closed_form_g evaluates, for the s=3 binomial family, the algebraic
 expression of G obtained by expanding (u + v z)^d directly; comparing it
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import TruthTable
-from .gf2 import Embedding, FieldElement, FieldSpec
+from .boolfn import TruthTable, line_forms
+from .gf2 import Embedding, FieldElement, FieldSpec, linear_table
 
 __all__ = [
     "NotClassHError",
@@ -132,7 +133,13 @@ class MappingTable:
 
     @classmethod
     def from_json(cls, field: FieldSpec, data) -> "MappingTable":
-        return cls(field, [int(str(e), 16) for e in data])
+        """Read a list of hex strings; any other entry is rejected, so a
+        JSON number is never read as hex."""
+        for e in data:
+            if not isinstance(e, str):
+                raise ValueError(f"table entries must be hex strings, "
+                                 f"got {e!r}")
+        return cls(field, [int(e, 16) for e in data])
 
     def __repr__(self):
         return (f"MappingTable(GF(2^{self.field.degree}), "
@@ -173,51 +180,38 @@ def to_bivariate(tt: TruthTable, basis: BasisPair,
     if emb.small.degree * 2 != big.degree:
         raise ValueError("embedding must come from the half-degree field")
     small = emb.small
-    q = small.order
-    mul = big.mul_bits
-    ub, vb = basis.u.bits, basis.v.bits
-    tab = emb.table
-    vals = np.empty((q, q), dtype=np.uint8)
-    fvals = tt.values
-    for x in range(q):
-        ux = mul(ub, tab[x])
-        for y in range(q):
-            vals[x, y] = fvals[ux ^ mul(vb, tab[y])]
-    return BivariateTable(small, vals)
+    # x -> u emb(x) and y -> v emb(y) are GF(2)-linear
+    lift = [emb.table[1 << i] for i in range(small.degree)]
+    ux = linear_table([big.mul_bits(basis.u.bits, e) for e in lift])
+    vy = linear_table([big.mul_bits(basis.v.bits, e) for e in lift])
+    return BivariateTable(small, tt.values[ux[:, None] ^ vy])
 
 
 def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
     """Recover (H, mu) from the line restrictions, verifying exhaustively
     that each restriction really is linear."""
     small = biv.field
-    m = small.degree
     q = small.order
     vals = biv.values
-    dual = small.dual_basis_bits()
-    mul = small.mul_bits
-    tr = small.trace_bits
-
-    mu_bits = 0
-    for j in range(m):
-        if vals[0, 1 << j]:
-            mu_bits ^= dual[j]
-    for y in range(q):
-        if vals[0, y] != tr(mul(mu_bits, y)):
-            raise NotClassHError(
-                None, "the x = 0 restriction is not linear")
-
-    entries = []
-    for z in range(q):
-        h_bits = 0
-        for j in range(m):
-            if vals[1 << j, mul(1 << j, z)]:
-                h_bits ^= dual[j]
-        for x in range(q):
-            if vals[x, mul(x, z)] != tr(mul(h_bits, x)):
-                raise NotClassHError(
-                    z, f"the slope-0x{z:x} restriction is not linear")
-        entries.append(h_bits)
-    return MappingTable(small, entries), FieldElement(mu_bits, small)
+    # prod[x, z] = x z; row 0 is the x = 0 line, row z + 1 the slope-z
+    # line {(x, x z)}, both listed by x
+    prod = linear_table([small.mul_table(1 << i)
+                         for i in range(small.degree)])
+    rows = np.vstack([vals[0], vals[np.arange(q)[:, None], prod].T])
+    const, func, bad = line_forms(rows)
+    if const[0]:
+        # every line passes through (0, 0), where a linear form vanishes
+        bad = 0
+    if bad == 0:
+        raise NotClassHError(None, "the x = 0 restriction is not linear")
+    if bad is not None:
+        z = bad - 1
+        raise NotClassHError(
+            z, f"the slope-0x{z:x} restriction is not linear")
+    # tr(c x) has GF(2) functional a exactly when c = sum_{j in a} dual[j]
+    coords = linear_table(small.dual_basis_bits())[func]
+    return (MappingTable(small, coords[1:].tolist()),
+            FieldElement(int(coords[0]), small))
 
 
 def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:

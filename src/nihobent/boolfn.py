@@ -4,12 +4,18 @@ spectra, algebraic degree, and the subfield-coset linearity test.
 A TruthTable stores 2^n bits indexed by element bitmask.  A TraceForm is a
 sum of terms tr_r(c * x^e) where tr_r is the absolute trace of GF(2^r);
 each term is well defined exactly when c lies in GF(2^r) and e is fixed by
-multiplication with 2^r mod 2^n - 1, which the constructor enforces.
+multiplication with 2^r mod 2^n - 1, which the constructor enforces.  Its
+truth table is one gather per term through the field's exp/log and trace
+tables.
 
-The Walsh transform runs as a numpy butterfly in Theta(n 2^n) word ops and
-is then reindexed through the trace Gram matrix so that index w carries the
-field pairing tr(w x), not the coordinate dot product.  Spectra are exact
-64-bit integers.
+The Walsh transform runs as an in-place numpy butterfly in Theta(n 2^n)
+word ops and is then reindexed through the trace Gram matrix (a
+gf2.linear_table) so that index w carries the field pairing tr(w x), not
+the coordinate dot product.  Spectra are exact 64-bit integers.
+
+line_forms, the one line-restriction kernel, checks f on all lines at once;
+the subfield-coset test here and the slope-map extraction in bivariate
+both run through it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import FieldElement, FieldSpec
+from .gf2 import GF, FieldElement, FieldSpec, embed_subfield, linear_table
 
 __all__ = [
     "TruthTable",
@@ -29,6 +35,7 @@ __all__ = [
     "is_bent",
     "anf",
     "anf_degree",
+    "line_forms",
     "has_affine_coset_restrictions",
 ]
 
@@ -157,16 +164,15 @@ class TraceForm:
         field = self.field
         n = field.degree
         size = 1 << n
-        if field._exp is not None:
+        if field.exp_table is not None:
             out = np.zeros(size, dtype=np.uint8)
             order = field.mult_order
-            logs = np.array(field._log[1:], dtype=np.int64)
-            exps = np.array(field._exp, dtype=np.int64)
+            logs = field.log_table[1:]
+            exps = field.exp_table
             for t in self.terms:
                 # entries at non-subfield points are arbitrary bitmasks;
                 # only subfield points (guaranteed by validation) are read
-                tr = np.array(field.subfield_trace_table(t.subfield_degree),
-                              dtype=np.int64)
+                tr = field.subfield_trace_table(t.subfield_degree)
                 if t.coeff.bits == 0:
                     continue
                 if t.exponent == 0:
@@ -205,19 +211,19 @@ class TraceForm:
         return f"TraceForm(GF(2^{self.field.degree}), {body})"
 
 
-def _walsh_butterfly(signs: np.ndarray) -> np.ndarray:
-    """In-place-free fast transform: out[c] = sum_x signs[x] (-1)^(c.x)."""
-    a = signs.astype(np.int64, copy=True)
+def _walsh_butterfly(a: np.ndarray) -> np.ndarray:
+    """Fast transform in place on the int64 array a, which ends holding
+    out[c] = sum_x a[x] (-1)^(c.x); returns a."""
     h = 1
     size = a.shape[0]
     while h < size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
+        pairs = a.reshape(-1, 2, h)
+        left, right = pairs[:, 0], pairs[:, 1]
+        left += right
+        right *= 2
+        np.subtract(left, right, out=right)   # (l + r) - 2r = l - r
         h *= 2
-    return a.reshape(size)
+    return a
 
 
 def _xor_butterfly(bits: np.ndarray) -> np.ndarray:
@@ -237,15 +243,8 @@ def _pairing_permutation(field: FieldSpec) -> np.ndarray:
     coordinate pairing (M w).x equals the field pairing tr(w x)."""
     key = "walsh_perm"
     if key not in field._derived:
-        rows = field.gram_rows()
-        size = field.order
-        perm = np.empty(size, dtype=np.int64)
-        for w in range(size):
-            img = 0
-            for i, row in enumerate(rows):
-                img |= ((row & w).bit_count() & 1) << i
-            perm[w] = img
-        field._derived[key] = perm
+        # M is symmetric, so its rows are also the images of the basis
+        field._derived[key] = linear_table(field.gram_rows())
     return field._derived[key]
 
 
@@ -274,8 +273,7 @@ def walsh_spectrum(tt: TruthTable, field: FieldSpec | None = None
     """Exact spectrum.  Without a field, index c pairs by the coordinate
     dot product c.x; with one, index w pairs by tr(w x) (Gram reindex).
     """
-    signs = 1 - 2 * tt.values.astype(np.int64)
-    flat = _walsh_butterfly(signs)
+    flat = _walsh_butterfly(1 - 2 * tt.values.astype(np.int64))
     if field is not None:
         if field.degree != tt.n:
             raise ValueError("field degree does not match table size")
@@ -307,14 +305,32 @@ def anf_degree(tt: TruthTable) -> int:
     return max(int(u).bit_count() for u in nz)
 
 
+def line_forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                          int | None]:
+    """Affine forms of the rows of a lines x 2^m array of bits.
+
+    Column x of a row is the value at the point whose GF(2) coordinates
+    are the bits of x.  Returns (const, func, bad): const[L] = row L at 0,
+    func[L] the bitmask a with row L equal to x -> const[L] ^ parity(a & x)
+    wherever the row is affine, and bad the index of the first row that is
+    not affine, or None when every row is.
+    """
+    m = rows.shape[1].bit_length() - 1
+    const = rows[:, 0]
+    coeffs = rows[:, 1 << np.arange(m)] ^ const[:, None]
+    want = linear_table(coeffs.T) ^ const
+    bad = np.flatnonzero((want != rows.T).any(axis=0))
+    func = (coeffs.astype(np.int64) << np.arange(m)).sum(axis=1)
+    return const, func, int(bad[0]) if bad.size else None
+
+
 def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
     """Whether f restricted to every coset u GF(2^m) of the half-degree
     subfield is affine over GF(2) (n = 2m).
 
-    Restrictions h(y) = f(u y) are affine iff the offset map
-    y -> h(y) + h(0) is additive, so checking the second difference
-    h(d+e)+h(d)+h(e)+h(0) = 0 over pairs of subfield points suffices.
-    One representative u per multiplicative coset covers everything.
+    The cosets g^k GF(2^m), k = 0..2^m, are the 2^m + 1 lines through 0
+    over GF(2^m); each is listed through the GF(2)-linear map
+    x -> g^k emb(x) from GF(2^m) and handed to line_forms.
     """
     n = tt.n
     if n % 2:
@@ -322,18 +338,11 @@ def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
     if field.degree != n:
         raise ValueError("field degree does not match table size")
     m = n // 2
-    sub = field.subfield_bits(m)
-    pos = {y: i for i, y in enumerate(sub)}
-    vals = tt.values
+    emb = embed_subfield(GF(m), field)
     mul = field.mul_bits
-    u = 1
-    g = field.generator
-    for _ in range((1 << m) + 1):
-        h = [int(vals[mul(u, y)]) for y in sub]
-        h0 = h[0]
-        for i in range(1, len(sub)):
-            for j in range(i, len(sub)):
-                if h[pos[sub[i] ^ sub[j]]] ^ h[i] ^ h[j] ^ h0:
-                    return False
-        u = mul(u, g)
-    return True
+    reps = [1]
+    for _ in range(1 << m):
+        reps.append(mul(reps[-1], field.generator))
+    points = linear_table([[mul(u, emb.table[1 << i]) for u in reps]
+                           for i in range(m)])
+    return line_forms(tt.values[points.T])[2] is None

@@ -28,6 +28,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .bivariate import (InternalCheckError, MappingTable, is_opolynomial,
                         is_permutation, opoly_normalize)
 from .boolfn import (TruthTable, anf_degree, has_affine_coset_restrictions,
@@ -66,12 +68,11 @@ def _emit(report: dict, compact: bool) -> None:
 
 
 def _spectrum_summary(values) -> dict:
-    counts: dict = {}
-    for v in values:
-        counts[int(v)] = counts.get(int(v), 0) + 1
-    return {"min": int(min(values)),
-            "max": int(max(values)),
-            "value_counts": [[v, counts[v]] for v in sorted(counts)]}
+    distinct, counts = np.unique(values, return_counts=True)
+    return {"min": int(distinct[0]),
+            "max": int(distinct[-1]),
+            "value_counts": [[v, c] for v, c in zip(distinct.tolist(),
+                                                    counts.tolist())]}
 
 
 def _check_verdicts(tt: TruthTable, field: FieldSpec) -> dict:
@@ -197,6 +198,8 @@ def _opoly_table(args) -> tuple[MappingTable, dict]:
     if args.source == "file":
         with open(args.file, "r", encoding="ascii") as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("a mapping-table file holds a JSON array")
         size = len(data)
         m = size.bit_length() - 1
         if size != 1 << m:

@@ -14,14 +14,20 @@ Reproducibility conventions:
   * the stored generator is the smallest bitmask whose multiplicative
     order is 2^k - 1.
 
-For k <= 16 a discrete exp/log table pair is built once at construction,
-making mul, pow, inv and sqrt O(1) lookups; larger degrees fall back to
-shift-and-xor arithmetic.  FieldSpec is immutable after construction and
+Whole-field tables are GF(2)-linear maps of the bitmask, built as numpy
+arrays by one kernel, linear_table, from their k basis images (computed
+with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
+operations.  For k <= 16 the exp/log pair is doubled the same way through
+the multiply-by-g^(2^i) tables at construction; scalar mul, pow, inv and
+sqrt read Python-list copies of it in O(1), and larger degrees fall back
+to shift-and-xor arithmetic.  FieldSpec is immutable after construction and
 every derived table is a pure function of it, so instances can be shared
 freely across threads.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "FieldMismatchError",
@@ -34,6 +40,7 @@ __all__ = [
     "is_irreducible",
     "default_modulus",
     "embed_subfield",
+    "linear_table",
     "unit_circle",
     "unit_circle_element",
 ]
@@ -88,6 +95,23 @@ def default_modulus(k: int) -> int:
     raise AssertionError("irreducible polynomials exist in every degree")
 
 
+def linear_table(images) -> np.ndarray:
+    """Table of the GF(2)-linear map that sends bit i to images[i]:
+    entry x is the XOR of images[i] over the set bits i of x.
+
+    images holds k integers, or k integer arrays of one shape, which give
+    a table of shape (2^k, *shape).  Built by doubling,
+    tab[h:2h] = tab[:h] ^ images[i], in O(2^k) numpy word operations.
+    """
+    images = np.asarray(images)
+    tab = np.zeros((1 << len(images),) + images.shape[1:], dtype=images.dtype)
+    h = 1
+    for img in images:
+        np.bitwise_xor(tab[:h], img, out=tab[h:2 * h])
+        h *= 2
+    return tab
+
+
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n."""
     fs = []
@@ -108,10 +132,14 @@ class FieldSpec:
 
     Prefer the GF() factory, which caches constructed specs.  Two specs
     compare equal iff degree, modulus and generator all agree.
+
+    For degree <= 16, exp_table[j] = g^j (j < 2^k - 1) and log_table[x]
+    (log_table[0] = -1) are int64 numpy arrays for whole-table kernels;
+    above that both are None.
     """
 
     __slots__ = ("degree", "modulus", "generator", "order", "mult_order",
-                 "_exp", "_log", "_derived")
+                 "exp_table", "log_table", "_exp", "_log", "_derived")
 
     def __init__(self, degree: int, modulus: int | None = None,
                  generator: int | None = None):
@@ -132,6 +160,7 @@ class FieldSpec:
         self.modulus = modulus
         self.order = 1 << degree
         self.mult_order = self.order - 1
+        self.exp_table = self.log_table = None
         self._exp = None
         self._log = None
         self._derived = {}
@@ -181,19 +210,34 @@ class FieldSpec:
         raise AssertionError("the multiplicative group is cyclic")
 
     def _build_tables(self):
+        """exp[j] = g^j by doubling: exp[h:2h] = g^h * exp[:h], through
+        the multiply-by-g^h table, for h = 1, 2, 4, ..., 2^(k-1)."""
         n = self.mult_order
-        exp = [0] * n
-        log = [-1] * self.order
-        e = 1
-        g = self.generator
-        for i in range(n):
-            exp[i] = e
-            log[e] = i
-            e = self._mul_raw(e, g)
-        if e != 1:
+        exp = np.empty(self.order, dtype=np.int64)
+        exp[0] = 1
+        c = self.generator
+        h = 1
+        for _ in range(self.degree):
+            exp[h:2 * h] = self.mul_table(c)[exp[:h]]
+            c = self._mul_raw(c, c)
+            h *= 2
+        if exp[n] != 1:
             raise AssertionError("generator order check failed")
-        self._exp = exp
-        self._log = log
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp[:n]] = np.arange(n)
+        if (log[1:] < 0).any():
+            raise AssertionError(
+                "exp table is not a permutation of the nonzero elements")
+        self.exp_table = exp[:n]
+        self.log_table = log
+        # scalar operations index Python lists, which is faster than numpy
+        self._exp = self.exp_table.tolist()
+        self._log = log.tolist()
+
+    def mul_table(self, c: int) -> np.ndarray:
+        """Table of x -> c x over the whole field (GF(2)-linear in x)."""
+        return linear_table([self._mul_raw(c, 1 << i)
+                             for i in range(self.degree)])
 
     # -- int-level operations (bitmask in, bitmask out) -------------------
 
@@ -265,28 +309,30 @@ class FieldSpec:
         self._check_subdegree(r)
         key = ("subfield", r)
         if key not in self._derived:
-            self._derived[key] = [x for x in range(self.order)
-                                  if self.frob_bits(x, r) == x]
+            # the kernel of the GF(2)-linear map x -> x^(2^r) + x
+            moved = linear_table([self.frob_bits(1 << i, r) ^ (1 << i)
+                                  for i in range(self.degree)])
+            self._derived[key] = np.flatnonzero(moved == 0).tolist()
         return self._derived[key]
 
-    def subfield_trace_table(self, r: int) -> list[int]:
+    def subfield_trace_table(self, r: int) -> np.ndarray:
         """Table of sum_{i<r} y^(2^i) for every y; equals the absolute
-        trace of GF(2^r) whenever y lies in that subfield."""
+        trace of GF(2^r) whenever y lies in that subfield.  The map is
+        GF(2)-linear, so the table follows from the k basis images."""
         self._check_subdegree(r)
         if self._exp is None:
             raise ValueError("trace tables are only built for degree <= "
                              f"{_TABLE_DEGREE_MAX}")
         key = ("trtab", r)
         if key not in self._derived:
-            mul = self.mul_bits
-            tab = [0] * self.order
-            for y in range(self.order):
-                acc = t = y
+            images = []
+            for i in range(self.degree):
+                acc = t = 1 << i
                 for _ in range(r - 1):
-                    t = mul(t, t)
+                    t = self.mul_bits(t, t)
                     acc ^= t
-                tab[y] = acc
-            self._derived[key] = tab
+                images.append(acc)
+            self._derived[key] = linear_table(images)
         return self._derived[key]
 
     def gram_rows(self) -> list[int]:
@@ -515,8 +561,11 @@ class Embedding:
             raise ValueError(
                 f"GF(2^{small.degree}) does not embed in GF(2^{big.degree})")
         r = small.degree
+        # the small modulus is irreducible of degree r, so all its roots
+        # lie in GF(2^r); the subfield is sorted, so the first root found
+        # is the smallest one in the big field
         root = None
-        for cand in range(big.order):
+        for cand in big.subfield_bits(r):
             acc = 0
             for i in range(small.modulus.bit_length() - 1, -1, -1):
                 acc = big.mul_bits(acc, cand)
@@ -530,13 +579,7 @@ class Embedding:
         powers = [1]
         for _ in range(r - 1):
             powers.append(big.mul_bits(powers[-1], root))
-        table = [0] * small.order
-        for x in range(small.order):
-            acc = 0
-            for i in range(r):
-                if x >> i & 1:
-                    acc ^= powers[i]
-            table[x] = acc
+        table = linear_table(powers).tolist()
         for i in range(r):
             for j in range(r):
                 lhs = table[small.mul_bits(1 << i, 1 << j)]

@@ -7,7 +7,7 @@ expected values in the test modules were produced by these oracles.
 """
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -154,8 +154,144 @@ def oracle_is_opoly(entries, field):
     return True
 
 
+def oracle_exp_log(field):
+    """exp/log lists by repeated schoolbook multiplication with the
+    generator; log[0] = -1."""
+    k, n = field.degree, field.mult_order
+    exp = [0] * n
+    log = [-1] * field.order
+    e = 1
+    for i in range(n):
+        exp[i] = e
+        log[e] = i
+        e = oracle_mul(e, field.generator, field.modulus, k)
+    assert e == 1
+    return exp, log
+
+
+def oracle_subfield_bits(field, r):
+    return [x for x in range(field.order) if field.frob_bits(x, r) == x]
+
+
+def oracle_trace_table(field, r):
+    """sum_{i<r} y^(2^i) for every y, by repeated squaring per point."""
+    mul = field.mul_bits
+    tab = [0] * field.order
+    for y in range(field.order):
+        acc = t = y
+        for _ in range(r - 1):
+            t = mul(t, t)
+            acc ^= t
+        tab[y] = acc
+    return tab
+
+
+def oracle_pairing(field):
+    """perm[w] = bitmask of M w for the trace Gram matrix M, by a parity
+    per row and point."""
+    rows = field.gram_rows()
+    perm = []
+    for w in range(field.order):
+        img = 0
+        for i, row in enumerate(rows):
+            img |= (bin(row & w).count("1") & 1) << i
+        perm.append(img)
+    return perm
+
+
+def oracle_embedding_table(small, big):
+    """Table of the embedding sending X to the smallest root of the small
+    modulus, found by evaluating it at every element of the big field."""
+    root = None
+    for cand in range(big.order):
+        acc = 0
+        for i in range(small.modulus.bit_length() - 1, -1, -1):
+            acc = big.mul_bits(acc, cand)
+            if small.modulus >> i & 1:
+                acc ^= 1
+        if acc == 0:
+            root = cand
+            break
+    powers = [1]
+    for _ in range(small.degree - 1):
+        powers.append(big.mul_bits(powers[-1], root))
+    table = []
+    for x in range(small.order):
+        acc = 0
+        for i in range(small.degree):
+            if x >> i & 1:
+                acc ^= powers[i]
+        table.append(acc)
+    return table
+
+
+def oracle_coset_affine(tt, field):
+    """Second-difference test h(d+e)+h(d)+h(e)+h(0) = 0 over all pairs of
+    subfield points, on one coset u GF(2^m) per power u of the generator:
+    O(2^m q^2) work."""
+    m = tt.n // 2
+    sub = oracle_subfield_bits(field, m)
+    pos = {y: i for i, y in enumerate(sub)}
+    mul = field.mul_bits
+    u = 1
+    for _ in range((1 << m) + 1):
+        h = [int(tt.values[mul(u, y)]) for y in sub]
+        for i in range(1, len(sub)):
+            for j in range(i, len(sub)):
+                if h[pos[sub[i] ^ sub[j]]] ^ h[i] ^ h[j] ^ h[0]:
+                    return False
+        u = mul(u, field.generator)
+    return True
+
+
+def oracle_extract_h_mu(biv):
+    """Per-point slope-map extraction: solve each line with the dual
+    basis, then compare the trace form on every point.  Returns
+    (H entries, mu bits), or raises NotClassHError for the first line that
+    fails, the x = 0 line before the slopes in increasing order."""
+    from nihobent import NotClassHError
+    small = biv.field
+    m, q = small.degree, small.order
+    vals = biv.values
+    dual = small.dual_basis_bits()
+    mul, tr = small.mul_bits, small.trace_bits
+    mu = 0
+    for j in range(m):
+        if vals[0, 1 << j]:
+            mu ^= dual[j]
+    if any(vals[0, y] != tr(mul(mu, y)) for y in range(q)):
+        raise NotClassHError(None, "x = 0")
+    entries = []
+    for z in range(q):
+        h = 0
+        for j in range(m):
+            if vals[1 << j, mul(1 << j, z)]:
+                h ^= dual[j]
+        if any(vals[x, mul(x, z)] != tr(mul(h, x)) for x in range(q)):
+            raise NotClassHError(z, f"slope 0x{z:x}")
+        entries.append(h)
+    return entries, mu
+
+
 def random_table(rng, n):
     from nihobent.boolfn import TruthTable
     vals = np.array([rng.randrange(2) for _ in range(1 << n)],
                     dtype=np.uint8)
     return TruthTable(n, vals)
+
+
+def bent_or_mutated(m, data):
+    """A random table on GF(2^(2m)), a binomial3 member, or the member
+    with one bit flipped, as the hypothesis data strategy chooses."""
+    from nihobent import GF, FamilySpec, TruthTable, build_bent
+    F = GF(2 * m)
+    kind = data.draw(st.sampled_from(["random", "bent", "flipped"]))
+    if kind == "random":
+        vals = [data.draw(st.integers(0, 1)) for _ in range(F.order)]
+        return F, TruthTable(2 * m, vals)
+    b = F.el(data.draw(st.integers(1, F.order - 1)))
+    vals = build_bent(FamilySpec("binomial3", m, b=b)).truth_table() \
+        .values.copy()
+    if kind == "flipped":
+        vals[data.draw(st.integers(0, F.order - 1))] ^= 1
+    return F, TruthTable(2 * m, vals)

@@ -2,8 +2,10 @@
 closed forms and small-field trace identities."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import oracle_extract, oracle_is_opoly
+from conftest import (bent_or_mutated, oracle_extract, oracle_extract_h_mu,
+                      oracle_is_opoly)
 from nihobent import (GF, BasisPair, FamilySpec, InternalCheckError,
                       MappingTable, NotClassHError, build_bent,
                       closed_form_g, closed_form_g_circle, embed_subfield,
@@ -83,8 +85,41 @@ def test_non_class_h_raises():
     tt = TruthTable(4, [(mask >> i) & 1 for i in range(16)])
     F, S, emb = _setup(2)
     biv = to_bivariate(tt, BasisPair(unit_circle(F)[1], F.one), emb)
-    with pytest.raises(NotClassHError):
+    with pytest.raises(NotClassHError) as want:
+        oracle_extract_h_mu(biv)
+    with pytest.raises(NotClassHError) as got:
         extract_h_mu(biv)
+    assert want.value.z is not None
+    assert got.value.z == want.value.z
+    # the complement of a class-H function is affine on every line but
+    # linear on none, and the x = 0 line is reported first
+    vals = build_bent(FamilySpec("binomial3", 2, b=F.el(0x2))) \
+        .truth_table().values ^ 1
+    biv = to_bivariate(TruthTable(4, vals),
+                       BasisPair(unit_circle(F)[1], F.one), emb)
+    with pytest.raises(NotClassHError) as got:
+        extract_h_mu(biv)
+    assert got.value.z is None
+
+
+@given(st.integers(2, 4), st.data())
+def test_extraction_kernel_matches_oracle(m, data):
+    """Random tables, binomial3 members, and members with one bit flipped,
+    split over a random unit-circle basis: the kernel returns what the
+    per-point extraction returns, or fails on the same line."""
+    F, tt = bent_or_mutated(m, data)
+    emb = embed_subfield(GF(m), F)
+    u = data.draw(st.sampled_from([c for c in unit_circle(F) if c.bits != 1]))
+    biv = to_bivariate(tt, BasisPair(u, F.one), emb)
+    try:
+        want = oracle_extract_h_mu(biv)
+    except NotClassHError as exc:
+        with pytest.raises(NotClassHError) as got:
+            extract_h_mu(biv)
+        assert got.value.z == exc.z
+        return
+    h, mu = extract_h_mu(biv)
+    assert (list(h.entries), mu.bits) == want
 
 
 def test_opoly_predicates_frozen():

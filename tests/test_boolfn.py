@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (oracle_anf, oracle_degree, oracle_walsh_field,
+from conftest import (bent_or_mutated, oracle_anf, oracle_coset_affine,
+                      oracle_degree, oracle_pairing, oracle_walsh_field,
                       oracle_walsh_plain, random_table)
 from nihobent import GF, FamilySpec, build_bent
-from nihobent.boolfn import (TraceForm, TraceTerm, TruthTable, anf,
-                             anf_degree, has_affine_coset_restrictions,
-                             is_bent, walsh_spectrum)
+from nihobent.boolfn import (TraceForm, TraceTerm, TruthTable,
+                             _pairing_permutation, anf, anf_degree,
+                             has_affine_coset_restrictions, is_bent,
+                             line_forms, walsh_spectrum)
 
 GF16 = GF(4)
 
@@ -153,6 +155,30 @@ def test_coset_affinity_positive_and_negative():
     counter = _from_mask(4, NON_COSET_AFFINE_BENT)
     assert is_bent(counter)
     assert not has_affine_coset_restrictions(counter, GF16)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_pairing_permutation_matches_oracle(k):
+    F = GF(k)
+    assert _pairing_permutation(F).tolist() == oracle_pairing(F)
+
+
+def test_line_forms_constants_functionals_and_first_bad_row():
+    # rows over GF(2)^2: affine 1 ^ x0, linear x0 ^ x1, then two
+    # non-affine rows; the first of those is reported
+    rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1],
+                     [1, 1, 1, 0]], dtype=np.uint8)
+    const, func, bad = line_forms(rows)
+    assert const.tolist() == [1, 0, 0, 1]
+    assert func[:2].tolist() == [0b01, 0b11]
+    assert bad == 2
+    assert line_forms(rows[:2])[2] is None
+
+
+@given(st.integers(2, 4), st.data())
+def test_coset_kernel_matches_oracle(m, data):
+    F, tt = bent_or_mutated(m, data)
+    assert has_affine_coset_restrictions(tt, F) == oracle_coset_affine(tt, F)
 
 
 def test_spectrum_reindex_consistency():

@@ -108,6 +108,31 @@ def test_opoly_sources(tmp_path, capsys):
     assert doc["verdicts"]["is_permutation"] is True
 
 
+def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
+    # 19 must not be read as 0x19 = 25; numbers and non-arrays exit 2
+    numbers = [x % 20 for x in range(32)]
+    for data in (numbers, ["0x0", "0x1", 2, "0x3"], {"0x0": "0x1"}):
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(data))
+        assert main(["opoly", "--source", "file", "--file", str(path)]) == 2
+    assert "hex strings" in capsys.readouterr().err
+
+
+def test_check_one_bit_flip_negative_control(tmp_path, capsys):
+    table = tmp_path / "f.tt"
+    code, built = run(capsys, "build", "--family", "binomial3",
+                      "--m", "3", "--b", "0x5", "--out", str(table))
+    assert code == 0 and built["verdicts"]["bent"] is True
+    assert built["verdicts"]["niho"] is True
+    header, row = table.read_text().split()
+    flipped = row[:9] + "10"[int(row[9])] + row[10:]
+    table.write_text(f"{header}\n{flipped}\n")
+    code, doc = run(capsys, "check", str(table))
+    assert code == 0
+    assert doc["verdicts"]["bent"] is False
+    assert doc["verdicts"]["niho"] is False
+
+
 def test_exit_code_precondition(capsys):
     assert main(["build", "--family", "binomial3", "--m", "2",
                  "--b", "0x0"]) == 2

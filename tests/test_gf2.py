@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import oracle_irreducible, oracle_mul, oracle_pow, oracle_trace
+from conftest import (oracle_embedding_table, oracle_exp_log,
+                      oracle_irreducible, oracle_mul, oracle_pow,
+                      oracle_subfield_bits, oracle_trace, oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, default_modulus,
-                      embed_subfield, unit_circle, unit_circle_element)
+                      embed_subfield, linear_table, unit_circle,
+                      unit_circle_element)
 
 GF8 = GF(3, 0xB)
 GF16 = GF(4)
@@ -140,6 +143,35 @@ def test_large_degree_fallback_path():
     assert F.mul_bits(F.inv_bits(x), x) == 1
     s = F.sqrt_bits(x)
     assert F.mul_bits(s, s) == x
+
+
+def test_linear_table_int_and_array_images():
+    assert linear_table([0x3, 0x5]).tolist() == [0, 0x3, 0x5, 0x6]
+    cols = linear_table([[1, 0, 1], [1, 1, 0]])
+    assert cols.shape == (4, 3)
+    assert cols.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 1, 1]]
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_table_kernels_match_oracles(k):
+    F = GF(k)
+    exp, log = oracle_exp_log(F)
+    assert F.exp_table.tolist() == exp and F._exp == exp
+    assert F.log_table.tolist() == log and F._log == log
+    for c in (F.generator, 1 << (k - 1), F.order - 1):
+        assert F.mul_table(c).tolist() == \
+            [oracle_mul(c, x, F.modulus, k) for x in range(F.order)]
+    for r in (d for d in range(1, k + 1) if k % d == 0):
+        assert F.subfield_bits(r) == oracle_subfield_bits(F, r)
+        assert F.subfield_trace_table(r).tolist() == oracle_trace_table(F, r)
+
+
+@pytest.mark.parametrize("r,k", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 6),
+                                 (2, 8), (4, 8), (3, 9), (5, 10), (4, 12),
+                                 (6, 12), (7, 14), (5, 15), (8, 16)])
+def test_embedding_matches_oracle(r, k):
+    S, B = GF(r), GF(k)
+    assert embed_subfield(S, B).table == oracle_embedding_table(S, B)
 
 
 def test_embedding_frozen_table():

@@ -1,14 +1,18 @@
 """Hyperoval catalog members and bent-to-catalog correspondences."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_is_opoly
-from nihobent import (GF, AdelaideParams, SubiacoParams, VerificationError,
-                      adelaide_f1, adelaide_fs, adelaide_pair,
-                      correspond_adelaide, correspond_subiaco, embed_subfield,
-                      frobenius_map, is_opolynomial, subiaco_fs,
-                      subiaco_fs_explicit, subiaco_pair, unit_circle,
-                      unit_circle_element)
+from nihobent import (GF, AdelaideParams, FamilySpec, SubiacoParams,
+                      VerificationError, adelaide_f1, adelaide_fs,
+                      adelaide_pair, anf_degree, build_bent,
+                      correspond_adelaide, correspond_subiaco,
+                      default_modulus, embed_subfield, frobenius_map,
+                      has_affine_coset_restrictions, is_bent,
+                      is_opolynomial, subiaco_fs, subiaco_fs_explicit,
+                      subiaco_pair, unit_circle, unit_circle_element)
+from nihobent.gf2 import is_irreducible
 
 GF4 = GF(2)
 GF8 = GF(3)
@@ -216,3 +220,41 @@ def test_correspondence_json_shape():
     assert set(data) == {"branch", "s", "c0", "c1", "catalog", "u",
                          "retried", "verified", "points_checked"}
     assert data["catalog"]["family"] == "subiaco"
+
+
+def _other_moduli(n):
+    default = default_modulus(n)
+    return [p for p in range((1 << n) | 1, 1 << (n + 1), 2)
+            if p != default and is_irreducible(p)]
+
+
+def _verdicts(family, b, beta):
+    field = b.field
+    m = field.degree // 2
+    tt = build_bent(FamilySpec(family, m, b=b)).truth_table()
+    corr = correspond_subiaco(b if m % 4 else field.one)
+    out = [is_bent(tt), anf_degree(tt),
+           has_affine_coset_restrictions(tt, field),
+           is_opolynomial(corr.extracted), corr.verified]
+    if m % 2 == 0:
+        adel = correspond_adelaide(beta)
+        out += [is_opolynomial(adel.extracted), adel.verified]
+    return out
+
+
+@settings(max_examples=15)
+@given(st.integers(2, 5), st.data())
+def test_verdicts_do_not_depend_on_the_modulus(m, data):
+    """The same member, carried into GF(2^n) under a non-default modulus
+    by the field isomorphism, gets the same verdicts."""
+    base = GF(2 * m)
+    other = GF(2 * m, data.draw(st.sampled_from(_other_moduli(2 * m))))
+    iso = embed_subfield(base, other)
+    family = data.draw(st.sampled_from(
+        ["binomial3", "binomial4" if m % 2 else "binomial6"]))
+    b = base.el(data.draw(st.integers(1, base.order - 1)))
+    circle = [u for u in unit_circle(base) if not u.in_subfield(m)]
+    beta = data.draw(st.sampled_from(circle))
+    want = _verdicts(family, b, beta)
+    assert want[0] and want[2] and all(want[3:])
+    assert _verdicts(family, iso(b), iso(beta)) == want
