@@ -18,6 +18,15 @@ and the trace-dual basis turns each functional into the field element it
 pairs with, so a successful return is a proof that the table is in the
 class described above.
 
+is_opolynomial tests the 2-to-1 property for every beta != 0 on whole
+tables: with G in discrete-log order, Gl[j] = G(g^j), the values
+G(g^j) + g^b g^j = Gl[j] ^ exp[(b + j) mod (q - 1)] of beta = g^b form a
+window of the doubled exp table, so no q x q table is built.  Blocks of
+about 2^14 values are counted by one bincount each, which keeps the
+working set to a few hundred KiB; the exp/log tables bound it to
+m <= 16.  g_from_h, opoly_normalize and is_two_to_one are whole-table
+numpy expressions too.
+
 closed_form_g evaluates, for the s=3 binomial family, the algebraic
 expression of G obtained by expanding (u + v z)^d directly; comparing it
 against the extracted G validates that whole expansion pointwise.
@@ -25,13 +34,14 @@ against the extracted G validates that whole expansion pointwise.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boolfn import TruthTable, line_forms
-from .gf2 import Embedding, FieldElement, FieldSpec, linear_table
+from .gf2 import (_TABLE_DEGREE_MAX, Embedding, FieldElement, FieldSpec,
+                  linear_table)
 
 __all__ = [
     "NotClassHError",
@@ -128,6 +138,10 @@ class MappingTable:
     def __hash__(self):
         return hash((self.field, self.entries))
 
+    def array(self) -> np.ndarray:
+        """The entries as an int64 array, for whole-table kernels."""
+        return np.array(self.entries, dtype=np.int64)
+
     def to_json(self) -> list:
         return [f"0x{e:x}" for e in self.entries]
 
@@ -218,31 +232,57 @@ def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:
     """G(z) = H(z) + mu z."""
     if mu.field != h.field:
         raise ValueError("mu from the wrong field")
-    mul = h.field.mul_bits
     return MappingTable(h.field,
-                        [e ^ mul(mu.bits, z)
-                         for z, e in enumerate(h.entries)])
+                        (h.array() ^ h.field.mul_table(mu.bits)).tolist())
 
 
 def is_permutation(t: MappingTable) -> bool:
     return len(set(t.entries)) == t.field.order
 
 
+def _fibers_all_two(values: np.ndarray, size: int) -> bool:
+    """Whether every value in 0..size-1 is hit 0 or 2 times: the fibers
+    of size 2 must then cover all the values."""
+    counts = np.bincount(values.ravel(), minlength=size)
+    return 2 * np.count_nonzero(counts == 2) == values.size
+
+
 def is_two_to_one(t: MappingTable) -> bool:
     """Every fiber has size exactly 0 or 2."""
-    return all(c == 2 for c in Counter(t.entries).values())
+    return _fibers_all_two(t.array(), t.field.order)
+
+
+# beta rows per block times q stays near this many elements, which keeps
+# the block's values, offsets and fiber counts to a few hundred KiB
+_OPOLY_BLOCK = 1 << 14
 
 
 def is_opolynomial(g: MappingTable) -> bool:
     """Whether z -> G(z) + beta z is 2-to-1 for every beta != 0.  That
     property forces G itself to be a permutation, which is re-checked
-    here as a guard."""
+    here as a guard.  Needs the exp/log tables, so m <= 16."""
     field = g.field
-    mul = field.mul_bits
-    entries = g.entries
-    for beta in range(1, field.order):
-        counts = Counter(e ^ mul(beta, z) for z, e in enumerate(entries))
-        if any(c != 2 for c in counts.values()):
+    exp = field.exp_table
+    if exp is None:
+        raise ValueError(
+            f"the o-polynomial test needs m <= {_TABLE_DEGREE_MAX} "
+            f"(exp/log tables); got m = {field.degree}")
+    q = field.order
+    entries = g.array()
+    g_log = entries[exp]
+    windows = sliding_window_view(np.concatenate([exp, exp[:-1]]), q - 1)
+    rows = max(1, min(q - 1, _OPOLY_BLOCK // q))
+    offsets = np.arange(rows)[:, None] * q
+    block = np.empty((rows, q), dtype=entries.dtype)
+    # row b (beta = g^b) is G(0), then G(g^j) + g^(b + j) for j < q - 1;
+    # offsetting row r by r q lets one bincount count every row's fibers
+    for start in range(0, q - 1, rows):
+        win = windows[start:start + rows]
+        vals = block[:len(win)]
+        vals[:, 0] = entries[0]
+        np.bitwise_xor(win, g_log, out=vals[:, 1:])
+        vals += offsets[:len(win)]
+        if not _fibers_all_two(vals, vals.size):
             return False
     if not is_permutation(g):
         raise InternalCheckError(
@@ -260,7 +300,7 @@ def opoly_normalize(g: MappingTable) -> MappingTable:
     field = g.field
     scale = field.inv_bits(g0 ^ g1)
     return MappingTable(field,
-                        [field.mul_bits(e ^ g0, scale) for e in g.entries])
+                        field.mul_table(scale)[g.array() ^ g0].tolist())
 
 
 def _project_entry(emb: Embedding, val: FieldElement) -> int:

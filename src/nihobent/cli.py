@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -293,16 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("NIHOBENT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) <= 0:
-                raise ValueError
-        except ValueError:
-            print(f"error: NIHOBENT_THREADS must be a positive integer, "
-                  f"got {threads!r}", file=sys.stderr)
-            return 2
-        # evaluation is single-threaded; any positive cap is honored
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bivariate import (BasisPair, InternalCheckError, MappingTable,
                         extract_h_mu, g_from_h, to_bivariate)
 from .gf2 import (GF, Embedding, FieldElement, FieldSpec, embed_subfield,
-                  unit_circle, unit_circle_element)
+                  linear_table, unit_circle, unit_circle_element)
 from .niho import FamilySpec, build_bent
 
 __all__ = [
@@ -336,8 +338,9 @@ def frobenius_map(field: FieldSpec, i: int) -> MappingTable:
     """z -> z^(2^i); an o-polynomial exactly when gcd(i, m) = 1."""
     if i < 0:
         raise ValueError("Frobenius power must be >= 0")
-    return MappingTable(field,
-                        [field.frob_bits(z, i) for z in range(field.order)])
+    # Frobenius is GF(2)-linear, so its basis images give the table
+    return MappingTable(field, linear_table(
+        [field.frob_bits(1 << j, i) for j in range(field.degree)]).tolist())
 
 
 @dataclass
@@ -392,12 +395,10 @@ def _verify_affine_match(extracted: MappingTable, member: MappingTable,
                          c0: FieldElement, c1: FieldElement,
                          what: str) -> int:
     small = extracted.field
-    mul = small.mul_bits
-    for z in range(small.order):
-        if extracted.entries[z] != c0.bits ^ mul(c1.bits,
-                                                 member.entries[z]):
-            raise VerificationError(
-                f"{what}: mismatch at z = 0x{z:x}")
+    claimed = c0.bits ^ small.mul_table(c1.bits)[member.array()]
+    bad = np.flatnonzero(extracted.array() != claimed)
+    if bad.size:
+        raise VerificationError(f"{what}: mismatch at z = 0x{bad[0]:x}")
     return small.order
 
 

@@ -154,6 +154,38 @@ def oracle_is_opoly(entries, field):
     return True
 
 
+def oracle_frobenius(field, i):
+    """z -> z^(2^i) by i schoolbook squarings of every z."""
+    out = []
+    for z in range(field.order):
+        for _ in range(i):
+            z = oracle_mul(z, z, field.modulus, field.degree)
+        out.append(z)
+    return out
+
+
+def oracle_normalize(entries, field):
+    """(G(z) + G(0)) / (G(1) + G(0)) point by point, the inverse taken
+    as a schoolbook power x^(q - 2)."""
+    k, mod = field.degree, field.modulus
+    scale = oracle_pow(entries[0] ^ entries[1], field.order - 2, mod, k)
+    return [oracle_mul(e ^ entries[0], scale, mod, k) for e in entries]
+
+
+def oracle_g_from_h(entries, mu, field):
+    """H(z) + mu z point by point."""
+    return [e ^ oracle_mul(mu, z, field.modulus, field.degree)
+            for z, e in enumerate(entries)]
+
+
+def oracle_two_to_one(entries):
+    """Every value that occurs at all occurs exactly twice."""
+    seen = {}
+    for e in entries:
+        seen[e] = seen.get(e, 0) + 1
+    return all(c == 2 for c in seen.values())
+
+
 def oracle_exp_log(field):
     """exp/log lists by repeated schoolbook multiplication with the
     generator; log[0] = -1."""

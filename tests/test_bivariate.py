@@ -1,17 +1,22 @@
 """Bivariate form, slope-map extraction, o-polynomial predicates,
 closed forms and small-field trace identities."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (bent_or_mutated, oracle_extract, oracle_extract_h_mu,
-                      oracle_is_opoly)
-from nihobent import (GF, BasisPair, FamilySpec, InternalCheckError,
-                      MappingTable, NotClassHError, build_bent,
+                      oracle_g_from_h, oracle_is_opoly, oracle_normalize,
+                      oracle_two_to_one)
+from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
+                      InternalCheckError, MappingTable, NotClassHError,
+                      SubiacoParams, adelaide_fs, build_bent,
                       closed_form_g, closed_form_g_circle, embed_subfield,
-                      extract_h_mu, g_from_h, is_opolynomial, is_permutation,
-                      is_two_to_one, opoly_normalize, to_bivariate,
-                      unit_circle, verify_trace_identities)
+                      extract_h_mu, frobenius_map, g_from_h,
+                      is_opolynomial, is_permutation, is_two_to_one,
+                      opoly_normalize, subiaco_fs, subiaco_pair,
+                      to_bivariate, unit_circle, verify_trace_identities)
 from nihobent.boolfn import TruthTable
 
 GF4 = GF(2)
@@ -152,6 +157,114 @@ def test_opoly_normalize():
     const = MappingTable.from_function(GF8, lambda z: GF8.el(0x3))
     with pytest.raises(ValueError):
         opoly_normalize(const)
+
+
+def catalog_member(m, data):
+    """A Subiaco f_s (every case that exists for m) or an Adelaide f_s
+    (m even) over GF(2^m), parameters drawn by hypothesis."""
+    S = GF(m)
+    kinds = [c for c, ok in ((1, m % 2 == 1), (2, m % 4 == 2),
+                             (3, bool(SubiacoParams.case_iii_w_options(S))),
+                             ("adelaide", m % 2 == 0)) if ok]
+    kind = data.draw(st.sampled_from(kinds))
+    s = S.el(data.draw(st.integers(0, S.order - 1)))
+    if kind == "adelaide":
+        F = GF(2 * m)
+        beta = data.draw(st.sampled_from(
+            [u for u in unit_circle(F) if u.bits != 1]))
+        return adelaide_fs(AdelaideParams(beta, embed_subfield(S, F)), s)
+    if kind == 1:
+        params = SubiacoParams.case_i(S)
+    elif kind == 2:
+        params = SubiacoParams.case_ii(S, data.draw(st.sampled_from(
+            SubiacoParams.case_ii_w_options(S))))
+    else:
+        params = SubiacoParams.case_iii(S, data.draw(st.sampled_from(
+            SubiacoParams.case_iii_w_options(S))))
+    return subiaco_fs(params, s)
+
+
+def field_tables(m, data):
+    """Entries of a random table, a random permutation, a Frobenius map
+    z^(2^i) with i <= 2m, a catalog member, or a catalog member with two
+    entries swapped."""
+    S = GF(m)
+    kind = data.draw(st.sampled_from(
+        ["random", "permutation", "frobenius", "catalog", "swapped"]))
+    if kind == "random":
+        return data.draw(st.lists(st.integers(0, S.order - 1),
+                                  min_size=S.order, max_size=S.order))
+    if kind == "permutation":
+        return data.draw(st.permutations(range(S.order)))
+    if kind == "frobenius":
+        return list(frobenius_map(S, data.draw(st.integers(0, 2 * m)))
+                    .entries)
+    entries = list(catalog_member(m, data).entries)
+    if kind == "swapped":
+        a, b = data.draw(st.lists(st.integers(0, S.order - 1), min_size=2,
+                                  max_size=2, unique=True))
+        entries[a], entries[b] = entries[b], entries[a]
+    return entries
+
+
+@given(st.integers(1, 6), st.data())
+def test_opoly_kernel_matches_oracle(m, data):
+    S = GF(m)
+    entries = field_tables(m, data)
+    assert is_opolynomial(MappingTable(S, entries)) \
+        == oracle_is_opoly(entries, S)
+
+
+def test_swapped_catalog_member_negative_control():
+    # no transposition of two entries keeps the Subiaco g of GF(32) an
+    # o-polynomial, and each one is still a permutation
+    S = GF(5)
+    g = subiaco_pair(SubiacoParams.case_i(S))[1]
+    assert is_opolynomial(g)
+    for a in range(S.order):
+        for b in range(a + 1, S.order):
+            entries = list(g.entries)
+            entries[a], entries[b] = entries[b], entries[a]
+            swapped = MappingTable(S, entries)
+            assert is_permutation(swapped)
+            assert not is_opolynomial(swapped)
+            assert not oracle_is_opoly(entries, S)
+
+
+def test_opoly_working_set_bound():
+    # beta blocks of about 2^14 elements keep the m = 11 test well
+    # below 1 MiB of numpy allocations, whatever q^2 is
+    S = GF(11)
+    frob = frobenius_map(S, 1)
+    tracemalloc.start()
+    try:
+        assert is_opolynomial(frob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@given(st.integers(1, 6), st.data())
+def test_map_helpers_match_oracles(m, data):
+    S = GF(m)
+    q = S.order
+    h = data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    mu = data.draw(st.integers(0, q - 1))
+    assert list(g_from_h(MappingTable(S, h), S.el(mu)).entries) \
+        == oracle_g_from_h(h, mu, S)
+    if h[0] != h[1]:
+        assert list(opoly_normalize(MappingTable(S, h)).entries) \
+            == oracle_normalize(h, S)
+    assert is_two_to_one(MappingTable(S, h)) == oracle_two_to_one(h)
+    # a 2-to-1 table: pair up the domain, one fresh value per pair
+    order = data.draw(st.permutations(range(q)))
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=q // 2,
+                                max_size=q // 2, unique=True))
+    paired = [0] * q
+    for k, v in enumerate(values):
+        paired[order[2 * k]] = paired[order[2 * k + 1]] = v
+    assert oracle_two_to_one(paired) and is_two_to_one(MappingTable(S, paired))
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -1,9 +1,7 @@
 """End-to-end command-line behavior: JSON reports, file round-trips,
-exit codes, environment validation."""
+exit codes."""
 
 import json
-
-import pytest
 
 from nihobent.cli import main
 
@@ -118,6 +116,30 @@ def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
     assert "hex strings" in capsys.readouterr().err
 
 
+def test_opoly_swapped_file_negative_control(tmp_path, capsys):
+    # the Subiaco g of GF(32) with G(2) and G(3) swapped: still a
+    # permutation, no longer an o-polynomial
+    code, doc = run(capsys, "opoly", "--source", "subiaco",
+                    "--m", "5", "--case", "1")
+    assert code == 0 and doc["verdicts"]["is_opoly"] is True
+    table = doc["outputs"]["table"]
+    table[2], table[3] = table[3], table[2]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(table))
+    code, doc = run(capsys, "opoly", "--source", "file", "--file", str(path))
+    assert code == 0
+    assert doc["verdicts"]["is_opoly"] is False
+    assert doc["verdicts"]["is_permutation"] is True
+
+
+def test_opoly_degree_limit(capsys):
+    assert main(["opoly", "--source", "frobenius", "--m", "17",
+                 "--exponent", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m <= 16" in captured.err
+
+
 def test_check_one_bit_flip_negative_control(tmp_path, capsys):
     table = tmp_path / "f.tt"
     code, built = run(capsys, "build", "--family", "binomial3",
@@ -140,19 +162,6 @@ def test_exit_code_precondition(capsys):
                  "--b", "0x1"]) == 2
     assert main(["check", "/nonexistent/file.tt"]) == 2
     assert main(["correspond", "--family", "subiaco", "--m", "2"]) == 2
-    capsys.readouterr()
-
-
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("NIHOBENT_THREADS", "8")
-    assert main(["build", "--family", "quadratic", "--m", "2",
-                 "--a", "0x1"]) == 0
-    monkeypatch.setenv("NIHOBENT_THREADS", "0")
-    assert main(["build", "--family", "quadratic", "--m", "2",
-                 "--a", "0x1"]) == 2
-    monkeypatch.setenv("NIHOBENT_THREADS", "lots")
-    assert main(["build", "--family", "quadratic", "--m", "2",
-                 "--a", "0x1"]) == 2
     capsys.readouterr()
 
 

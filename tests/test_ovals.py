@@ -1,18 +1,21 @@
 """Hyperoval catalog members and bent-to-catalog correspondences."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_is_opoly
-from nihobent import (GF, AdelaideParams, FamilySpec, SubiacoParams,
-                      VerificationError, adelaide_f1, adelaide_fs,
-                      adelaide_pair, anf_degree, build_bent,
+from conftest import oracle_frobenius, oracle_is_opoly
+from nihobent import (GF, AdelaideParams, FamilySpec, MappingTable,
+                      SubiacoParams, VerificationError, adelaide_f1,
+                      adelaide_fs, adelaide_pair, anf_degree, build_bent,
                       correspond_adelaide, correspond_subiaco,
                       default_modulus, embed_subfield, frobenius_map,
                       has_affine_coset_restrictions, is_bent,
                       is_opolynomial, subiaco_fs, subiaco_fs_explicit,
                       subiaco_pair, unit_circle, unit_circle_element)
 from nihobent.gf2 import is_irreducible
+from nihobent.ovals import _verify_affine_match
 
 GF4 = GF(2)
 GF8 = GF(3)
@@ -144,11 +147,33 @@ def test_adelaide_opolynomials(m):
 
 
 def test_frobenius_gcd_rule():
-    for m, field in ((4, GF16), (6, GF(6))):
-        from math import gcd
-        for i in range(1, m):
+    # z^(2^i) is an o-polynomial exactly when gcd(i, m) = 1; up to m = 6
+    # the per-point oracles confirm the table and the verdict
+    for m in (1, 2, 3, 4, 5, 6, 9):
+        field = GF(m)
+        for i in range(2 * m + 1):
             table = frobenius_map(field, i)
-            assert is_opolynomial(table) == (gcd(i, m) == 1), (m, i)
+            want = gcd(i, m) == 1
+            assert is_opolynomial(table) == want, (m, i)
+            if m <= 6:
+                assert list(table.entries) == oracle_frobenius(field, i)
+                assert oracle_is_opoly(list(table.entries), field) == want
+
+
+def test_affine_match_reports_first_mismatch():
+    member = subiaco_pair(SubiacoParams.case_iii(GF16, GF16.el(0x2)))[1]
+    c0, c1 = GF16.el(0x3), GF16.el(0x5)
+    claimed = [c0.bits ^ GF16.mul_bits(c1.bits, e) for e in member.entries]
+    assert _verify_affine_match(MappingTable(GF16, claimed), member,
+                                c0, c1, "case") == 16
+    for zs in ((5,), (7, 12), (0, 15)):
+        wrong = list(claimed)
+        for z in zs:
+            wrong[z] ^= 1
+        with pytest.raises(VerificationError,
+                           match=f"^case: mismatch at z = 0x{zs[0]:x}$"):
+            _verify_affine_match(MappingTable(GF16, wrong), member,
+                                 c0, c1, "case")
 
 
 def test_correspond_subiaco_frozen_m3():
