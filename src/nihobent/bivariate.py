@@ -24,8 +24,9 @@ G(g^j) + g^b g^j = Gl[j] ^ exp[(b + j) mod (q - 1)] of beta = g^b form a
 window of the doubled exp table, so no q x q table is built.  Blocks of
 about 2^14 values are counted by one bincount each, which keeps the
 working set to a few hundred KiB; the exp/log tables bound it to
-m <= 16.  g_from_h, opoly_normalize and is_two_to_one are whole-table
-numpy expressions too.
+m <= 16.  g_from_h, opoly_normalize, is_permutation and is_two_to_one
+are whole-table numpy expressions too, on the read-only int64 array that
+a MappingTable stores.
 
 closed_form_g evaluates, for the s=3 binomial family, the algebraic
 expression of G obtained by expanding (u + v z)^d directly; comparing it
@@ -105,23 +106,42 @@ class BasisPair:
 
 
 class MappingTable:
-    """A function GF(2^m) -> GF(2^m) tabulated by bitmask."""
+    """A function GF(2^m) -> GF(2^m) tabulated by bitmask.
 
-    __slots__ = ("field", "entries")
+    The table is stored once, as a validated read-only int64 array that
+    whole-table kernels take as it is; entries, the same values as a
+    tuple of Python ints, is built on first use and kept."""
+
+    __slots__ = ("field", "_array", "_entries")
 
     def __init__(self, field: FieldSpec, entries):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != field.order:
-            raise ValueError(f"need {field.order} entries, "
-                             f"got {len(entries)}")
-        if any(not 0 <= e < field.order for e in entries):
+        arr = np.asarray(entries)
+        if arr.shape != (field.order,):
+            got = len(arr) if arr.ndim == 1 else f"shape {arr.shape}"
+            raise ValueError(f"need {field.order} entries, got {got}")
+        # integer dtypes only: "10" and 1.9 are errors, not ten and one
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"entries must be integers in "
+                             f"0..{field.order - 1}, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= field.order:
             raise ValueError("entry out of field range")
+        # astype copies, so the caller's array is neither frozen nor shared
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
         self.field = field
-        self.entries = entries
+        self._array = arr
+        self._entries = None
 
     @classmethod
     def from_function(cls, field: FieldSpec, fn) -> "MappingTable":
         return cls(field, [fn(field.el(z)).bits for z in range(field.order)])
+
+    @property
+    def entries(self) -> tuple:
+        """The values as a tuple of Python ints."""
+        if self._entries is None:
+            self._entries = tuple(self._array.tolist())
+        return self._entries
 
     def apply(self, z) -> FieldElement:
         if isinstance(z, FieldElement):
@@ -133,31 +153,35 @@ class MappingTable:
     def __eq__(self, other):
         if not isinstance(other, MappingTable):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        # same field, so same length and both int64
+        return (self.field == other.field
+                and self._array.tobytes() == other._array.tobytes())
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self._array.tobytes()))
 
     def array(self) -> np.ndarray:
-        """The entries as an int64 array, for whole-table kernels."""
-        return np.array(self.entries, dtype=np.int64)
+        """The stored read-only int64 array, for whole-table kernels."""
+        return self._array
 
     def to_json(self) -> list:
-        return [f"0x{e:x}" for e in self.entries]
+        return self.field.hex_names()[self._array].tolist()
 
     @classmethod
     def from_json(cls, field: FieldSpec, data) -> "MappingTable":
         """Read a list of hex strings; any other entry is rejected, so a
         JSON number is never read as hex."""
+        values = []
         for e in data:
             if not isinstance(e, str):
                 raise ValueError(f"table entries must be hex strings, "
                                  f"got {e!r}")
-        return cls(field, [int(e, 16) for e in data])
+            values.append(int(e, 16))
+        return cls(field, values)
 
     def __repr__(self):
         return (f"MappingTable(GF(2^{self.field.degree}), "
-                f"{[hex(e) for e in self.entries[:4]]}...)")
+                f"{[hex(e) for e in self._array[:4].tolist()]}...)")
 
 
 class BivariateTable:
@@ -224,7 +248,7 @@ def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
             z, f"the slope-0x{z:x} restriction is not linear")
     # tr(c x) has GF(2) functional a exactly when c = sum_{j in a} dual[j]
     coords = linear_table(small.dual_basis_bits())[func]
-    return (MappingTable(small, coords[1:].tolist()),
+    return (MappingTable(small, coords[1:]),
             FieldElement(int(coords[0]), small))
 
 
@@ -232,19 +256,21 @@ def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:
     """G(z) = H(z) + mu z."""
     if mu.field != h.field:
         raise ValueError("mu from the wrong field")
-    return MappingTable(h.field,
-                        (h.array() ^ h.field.mul_table(mu.bits)).tolist())
+    return MappingTable(h.field, h.array() ^ h.field.mul_table(mu.bits))
 
 
 def is_permutation(t: MappingTable) -> bool:
-    return len(set(t.entries)) == t.field.order
+    """Every value is hit: q values in range cover all q elements only
+    when each is hit exactly once."""
+    q = t.field.order
+    return bool(np.count_nonzero(np.bincount(t.array(), minlength=q)) == q)
 
 
 def _fibers_all_two(values: np.ndarray, size: int) -> bool:
     """Whether every value in 0..size-1 is hit 0 or 2 times: the fibers
     of size 2 must then cover all the values."""
     counts = np.bincount(values.ravel(), minlength=size)
-    return 2 * np.count_nonzero(counts == 2) == values.size
+    return bool(2 * np.count_nonzero(counts == 2) == values.size)
 
 
 def is_two_to_one(t: MappingTable) -> bool:
@@ -294,13 +320,12 @@ def is_opolynomial(g: MappingTable) -> bool:
 def opoly_normalize(g: MappingTable) -> MappingTable:
     """Affine renormalization (G(z) + G(0)) / (G(1) + G(0)), fixing
     G(0) = 0 and G(1) = 1; preserves the o-polynomial property."""
-    g0, g1 = g.entries[0], g.entries[1]
+    g0, g1 = g.array()[:2].tolist()
     if g0 == g1:
         raise ValueError("cannot normalize: G(0) = G(1)")
     field = g.field
     scale = field.inv_bits(g0 ^ g1)
-    return MappingTable(field,
-                        field.mul_table(scale)[g.array() ^ g0].tolist())
+    return MappingTable(field, field.mul_table(scale)[g.array() ^ g0])
 
 
 def _project_entry(emb: Embedding, val: FieldElement) -> int:

@@ -86,7 +86,9 @@ class TruthTable:
     # -- text format: "n=<int>" newline, then 2^n chars of 0/1 ------------
 
     def to_text(self) -> str:
-        return f"n={self.n}\n" + "".join("01"[v] for v in self.values) + "\n"
+        # "0" and "1" are the bytes 48 and 49
+        row = (self.values + 48).tobytes().decode("ascii")
+        return f"n={self.n}\n{row}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
@@ -100,9 +102,11 @@ class TruthTable:
         if not 0 <= n <= 24:
             raise ValueError(f"table size n={n} out of range")
         row = lines[1]
-        if len(row) != 1 << n or set(row) - {"0", "1"}:
+        # a non-ASCII character becomes "?", which fails the 0/1 test
+        bits = np.frombuffer(row.encode("ascii", "replace"), np.uint8) - 48
+        if len(row) != 1 << n or bits.max(initial=0) > 1:
             raise ValueError(f"expected 2^{n} characters of 0/1")
-        return cls(n, [c == "1" for c in row])
+        return cls(n, bits)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:

@@ -23,6 +23,7 @@ violated precondition; 3 an internal cross-check mismatch (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -220,7 +221,7 @@ def _cmd_opoly(args) -> dict:
     opoly = is_opolynomial(table)
     perm = is_permutation(table)
     normalized = None
-    if table.entries[0] != table.entries[1]:
+    if table.array()[0] != table.array()[1]:
         normalized = opoly_normalize(table).to_json()
     return {"command": "opoly", "inputs": inputs,
             "outputs": {"table": table.to_json(),
@@ -229,7 +230,10 @@ def _cmd_opoly(args) -> dict:
                          "is_permutation": perm}}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     top = argparse.ArgumentParser(
         prog="nihobent",
         description="Niho bent functions and hyperoval o-polynomials")

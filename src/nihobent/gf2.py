@@ -375,6 +375,17 @@ class FieldSpec:
             self._derived["dual"] = inv
         return self._derived["dual"]
 
+    def hex_names(self) -> np.ndarray:
+        """Read-only object array of the names "0x..." of all elements in
+        bitmask order; indexing it with a table of bitmasks names the
+        whole table at once.  Holds 2^k strings once built."""
+        if "hex" not in self._derived:
+            names = np.array([f"0x{x:x}" for x in range(self.order)],
+                             dtype=object)
+            names.flags.writeable = False
+            self._derived["hex"] = names
+        return self._derived["hex"]
+
     # -- element construction ---------------------------------------------
 
     def el(self, bits: int) -> "FieldElement":

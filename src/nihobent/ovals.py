@@ -340,7 +340,7 @@ def frobenius_map(field: FieldSpec, i: int) -> MappingTable:
         raise ValueError("Frobenius power must be >= 0")
     # Frobenius is GF(2)-linear, so its basis images give the table
     return MappingTable(field, linear_table(
-        [field.frob_bits(1 << j, i) for j in range(field.degree)]).tolist())
+        [field.frob_bits(1 << j, i) for j in range(field.degree)]))
 
 
 @dataclass

@@ -186,6 +186,37 @@ def oracle_two_to_one(entries):
     return all(c == 2 for c in seen.values())
 
 
+def oracle_is_permutation(entries, field):
+    """Every element of the field occurs once among the values."""
+    return len(set(entries)) == field.order
+
+
+def oracle_table_json(entries):
+    """Hex names one f-string per entry."""
+    return [f"0x{e:x}" for e in entries]
+
+
+def oracle_tt_to_text(tt):
+    """The truth-table text format written one point at a time."""
+    return f"n={tt.n}\n" + "".join("01"[v] for v in tt.values) + "\n"
+
+
+def oracle_tt_from_text(text):
+    """(n, values) read one character at a time, or None for any text
+    that is not 'n=<int>' then 2^n characters of 0/1."""
+    lines = text.split()
+    if len(lines) != 2 or not lines[0].startswith("n="):
+        return None
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        return None
+    row = lines[1]
+    if not 0 <= n <= 24 or len(row) != 1 << n or set(row) - {"0", "1"}:
+        return None
+    return n, [int(c == "1") for c in row]
+
+
 def oracle_exp_log(field):
     """exp/log lists by repeated schoolbook multiplication with the
     generator; log[0] = -1."""

@@ -13,17 +13,22 @@ import pytest
 
 from conftest import oracle_walsh_field, oracle_walsh_plain, random_table
 from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
-                      SubiacoParams, adelaide_fs, adelaide_pair, build_bent,
+                      MappingTable, SubiacoParams, VerificationError,
+                      adelaide_fs, adelaide_pair, build_bent,
                       closed_form_g, closed_form_g_circle,
                       correspond_adelaide, correspond_subiaco,
                       embed_subfield, extract_h_mu, family_exponent,
                       g_from_h, is_fifth_power, is_opolynomial, subiaco_fs,
                       subiaco_fs_explicit, subiaco_pair, to_bivariate,
                       unit_circle, unit_circle_element, walsh_spectrum)
+from nihobent import ovals
 from nihobent.boolfn import anf_degree
+from nihobent.cli import main
 
 
 def _run(capsys, num, desc, budget, fn):
+    """Run one check; num None labels it by desc alone."""
+    label = desc if num is None else f"criterion {num}: {desc}"
     start = time.perf_counter()
     try:
         fn()
@@ -32,10 +37,10 @@ def _run(capsys, num, desc, budget, fn):
             assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget}s"
     except BaseException:
         with capsys.disabled():
-            print(f"[FAIL] criterion {num}: {desc}")
+            print(f"[FAIL] {label}")
         raise
     with capsys.disabled():
-        print(f"[PASS] criterion {num}: {desc} ({elapsed:.1f}s)")
+        print(f"[PASS] {label} ({elapsed:.1f}s)")
 
 
 def _bent_spectrum(form, m):
@@ -304,4 +309,49 @@ def test_criterion_10_oracle_equivalence(capsys):
                     subiaco_fs(params, s + shift)
 
     _run(capsys, 10, "fast transform and blend/explicit routes agree",
+         None, check)
+
+
+def _swap_member(catalog):
+    """The catalog function with two entries of its table swapped: those
+    at q/2 - 1 and q - 1, so z = q/2 - 1 is the first point that differs
+    (members are permutations, so the two values differ)."""
+    def swapped(*args):
+        table = catalog(*args)
+        entries = list(table.entries)
+        q = len(entries)
+        a, b = q // 2 - 1, q - 1
+        entries[a], entries[b] = entries[b], entries[a]
+        return MappingTable(table.field, entries)
+    return swapped
+
+
+def test_negative_control_correspondence_verified(capsys, monkeypatch):
+    def check():
+        monkeypatch.setattr(ovals, "subiaco_fs",
+                            _swap_member(ovals.subiaco_fs))
+        monkeypatch.setattr(ovals, "adelaide_f1",
+                            _swap_member(ovals.adelaide_f1))
+        # one member per Subiaco case (m = 3, 2, 4) and two Adelaide ones
+        calls = [(m, lambda m=m, b=b: correspond_subiaco(GF(2 * m).el(b)),
+                  ["--family", "subiaco", "--b", f"0x{b:x}"])
+                 for m, b in ((3, 0x1), (2, 0x5), (4, 0x1))]
+        for m in (2, 4):
+            beta = next(u for u in unit_circle(GF(2 * m)) if u.bits != 1)
+            calls.append((m, lambda beta=beta: correspond_adelaide(beta),
+                          ["--family", "adelaide",
+                           "--beta", f"0x{beta.bits:x}"]))
+        for m, call, argv in calls:
+            first = f"0x{(1 << m) // 2 - 1:x}"
+            with pytest.raises(VerificationError,
+                               match=f": mismatch at z = {first}$"):
+                call()
+            code = main(["correspond", "--m", str(m)] + argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: verification failed")
+            assert captured.err.rstrip().endswith(f"mismatch at z = {first}")
+
+    _run(capsys, None,
+         "negative control: a swapped catalog member is not verified",
          None, check)

@@ -3,12 +3,14 @@ closed forms and small-field trace identities."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (bent_or_mutated, oracle_extract, oracle_extract_h_mu,
-                      oracle_g_from_h, oracle_is_opoly, oracle_normalize,
-                      oracle_two_to_one)
+                      oracle_g_from_h, oracle_is_opoly,
+                      oracle_is_permutation, oracle_normalize,
+                      oracle_table_json, oracle_two_to_one)
 from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       InternalCheckError, MappingTable, NotClassHError,
                       SubiacoParams, adelaide_fs, build_bent,
@@ -46,6 +48,68 @@ def test_mapping_table_roundtrip():
     assert t.to_json() == ["0x0", "0x1", "0x3", "0x2"]
     assert MappingTable.from_json(GF4, t.to_json()) == t
     assert t.apply(GF4.el(2)).bits == 3
+
+
+@pytest.mark.parametrize("entries", [
+    ["0", "1", "3", "10"],           # strings are not read as numbers
+    [0, 1, 3, 1.9],                  # floats are not truncated
+    np.array([0.0, 1.0, 3.0, 2.0]),
+    np.array([0, 1, 3, None], dtype=object),
+    np.array([0, 1, 3, 2], dtype=object),
+    [True, False, True, False],
+])
+def test_mapping_table_rejects_non_integer_entries(entries):
+    with pytest.raises(ValueError, match="must be integers"):
+        MappingTable(GF4, entries)
+
+
+def test_mapping_table_rejects_bad_shape_and_range():
+    with pytest.raises(ValueError, match="need 4 entries, got 3"):
+        MappingTable(GF4, [0, 1, 2])
+    with pytest.raises(ValueError, match="need 4 entries"):
+        MappingTable(GF4, [[0, 1], [2, 3]])
+    for bad in ([0, 1, 2, 4], [0, -1, 2, 3], np.array([0, 1, 2, 4], np.uint8),
+                [0, 1, 2, 1 << 64]):
+        with pytest.raises(ValueError):
+            MappingTable(GF4, bad)
+
+
+def test_mapping_table_array_is_stored_read_only():
+    source = np.array([0, 1, 3, 2], dtype=np.int64)
+    t = MappingTable(GF4, source)
+    arr = t.array()
+    assert arr is t.array() and arr.dtype == np.int64
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    # the caller's array is copied, not frozen or shared
+    source[0] = 2
+    assert source.flags.writeable and t.entries == (0, 1, 3, 2)
+
+
+def test_mapping_table_list_and_array_agree():
+    from_list = MappingTable(GF16, list(range(15, -1, -1)))
+    from_array = MappingTable(GF16, np.arange(15, -1, -1, dtype=np.int32))
+    assert from_list.entries == from_array.entries == tuple(range(15, -1, -1))
+    assert all(type(e) is int for e in from_array.entries)
+    assert from_list == from_array and hash(from_list) == hash(from_array)
+    assert from_list != MappingTable(GF16, range(16))
+    assert from_list != MappingTable(GF(4, generator=0x3), range(15, -1, -1))
+
+
+@given(st.integers(1, 8), st.data())
+def test_table_json_and_permutation_match_oracles(m, data):
+    S = GF(m)
+    if data.draw(st.booleans()):
+        entries = data.draw(st.permutations(range(S.order)))
+    else:
+        entries = data.draw(st.lists(st.integers(0, S.order - 1),
+                                     min_size=S.order, max_size=S.order))
+    t = MappingTable(S, entries)
+    assert t.to_json() == oracle_table_json(entries)
+    perm = is_permutation(t)
+    assert type(perm) is bool
+    assert perm == oracle_is_permutation(entries, S)
 
 
 def test_bivariate_table_is_reindexed_truth_table():
@@ -256,7 +320,8 @@ def test_map_helpers_match_oracles(m, data):
     if h[0] != h[1]:
         assert list(opoly_normalize(MappingTable(S, h)).entries) \
             == oracle_normalize(h, S)
-    assert is_two_to_one(MappingTable(S, h)) == oracle_two_to_one(h)
+    two_to_one = is_two_to_one(MappingTable(S, h))
+    assert type(two_to_one) is bool and two_to_one == oracle_two_to_one(h)
     # a 2-to-1 table: pair up the domain, one fresh value per pair
     order = data.draw(st.permutations(range(q)))
     values = data.draw(st.lists(st.integers(0, q - 1), min_size=q // 2,

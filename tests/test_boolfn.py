@@ -1,13 +1,15 @@
 """Truth tables, trace forms, Walsh spectra, ANF."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (bent_or_mutated, oracle_anf, oracle_coset_affine,
-                      oracle_degree, oracle_pairing, oracle_walsh_field,
+                      oracle_degree, oracle_pairing, oracle_tt_from_text,
+                      oracle_tt_to_text, oracle_walsh_field,
                       oracle_walsh_plain, random_table)
 from nihobent import GF, FamilySpec, build_bent
 from nihobent.boolfn import (TraceForm, TraceTerm, TruthTable,
@@ -54,6 +56,34 @@ def test_text_roundtrip(tmp_path):
         path = tmp_path / f"t{n}.tt"
         tt.save(path)
         assert TruthTable.load(path) == tt
+
+
+@given(st.integers(0, 8), st.data())
+def test_text_io_matches_per_point_oracles(n, data):
+    tt = _from_mask(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    text = tt.to_text()
+    assert text == oracle_tt_to_text(tt)
+    back = TruthTable.from_text(text)
+    assert back == tt
+    assert oracle_tt_from_text(text) == (n, list(back.values))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=3\n0110\n", "expected 2^3 characters of 0/1"),
+    ("n=2\n01100\n", "expected 2^2 characters of 0/1"),
+    ("n=2\n01x0\n", "expected 2^2 characters of 0/1"),
+    ("n=2\n0120\n", "expected 2^2 characters of 0/1"),
+    ("n=2\n01/0\n", "expected 2^2 characters of 0/1"),
+    ("n=2\n01\u00e90\n", "expected 2^2 characters of 0/1"),
+    ("n=2\n01 10\n", "expected 'n=<int>' then one line of 0/1"),
+    ("m=2\n0110\n", "expected 'n=<int>' then one line of 0/1"),
+    ("n=two\n0110\n", "bad table header 'n=two'"),
+    ("n=25\n0\n", "table size n=25 out of range"),
+])
+def test_text_rejects_malformed_input(text, message):
+    assert oracle_tt_from_text(text) is None
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TruthTable.from_text(text)
 
 
 def test_walsh_frozen_values():

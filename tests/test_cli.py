@@ -2,8 +2,17 @@
 exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import nihobent
+from nihobent import cli
 from nihobent.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(nihobent.__file__)))
 
 
 def run(capsys, *argv):
@@ -155,6 +164,18 @@ def test_check_one_bit_flip_negative_control(tmp_path, capsys):
     assert doc["verdicts"]["niho"] is False
 
 
+def test_check_rejects_malformed_tables(tmp_path, capsys):
+    # wrong length, a stray character, a bad header: exit 2, no stdout
+    for text, message in (("n=2\n011\n", "expected 2^2 characters"),
+                          ("n=2\n01.0\n", "expected 2^2 characters"),
+                          ("n=x\n0110\n", "bad table header 'n=x'")):
+        table = tmp_path / "bad.tt"
+        table.write_text(text)
+        assert main(["check", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_exit_code_precondition(capsys):
     assert main(["build", "--family", "binomial3", "--m", "2",
                  "--b", "0x0"]) == 2
@@ -174,3 +195,74 @@ def test_spectrum_out(tmp_path, capsys):
     values = json.loads(spec.read_text())
     assert sorted(set(values)) == [-4, 4]
     capsys.readouterr()
+
+
+def _alone(argv):
+    """(exit code, stdout) of one call in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "nihobent", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([f"0x{x:x}" for x in (0, 1, 4, 5, 3, 2,
+                                                     7, 6)]))
+    calls = [
+        ["opoly", "--source", "subiaco", "--m", "5", "--case", "1",
+         "--s", "0x3", "--json"],
+        ["correspond", "--family", "subiaco", "--m", "3", "--b", "0x5"],
+        ["opoly", "--source", "frobenius", "--m", "4"],
+        ["opoly", "--source", "file", "--file", str(path), "--json"],
+        ["opoly", "--source", "subiaco", "--m", "5", "--case", "1",
+         "--s", "0x3", "--json"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+        # a usage error from argparse itself leaves the parser intact
+        with pytest.raises(SystemExit) as exc:
+            main(["opoly", "--source", "nowhere"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 0]
+    assert in_process[2][1] == "" and in_process[0] == in_process[4]
+    for argv, got in zip(calls, in_process):
+        assert got == _alone(argv)
+
+
+def test_verdicts_are_python_bools(tmp_path, monkeypatch, capsys):
+    reports = []
+    real_emit = cli._emit
+
+    def emit(report, compact):
+        reports.append(report)
+        real_emit(report, compact)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(["0x0", "0x1", "0x1", "0x3"]))
+    for argv in (["opoly", "--source", "frobenius", "--m", "5",
+                  "--exponent", "2"],
+                 ["opoly", "--source", "frobenius", "--m", "6",
+                  "--exponent", "2"],
+                 ["opoly", "--source", "file", "--file", str(path)],
+                 ["opoly", "--source", "adelaide", "--m", "2",
+                  "--beta", "0x8"],
+                 ["correspond", "--family", "adelaide", "--m", "2",
+                  "--beta", "0x8"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(reports) == 5
+    for report in reports:
+        assert report["verdicts"]
+        for value in report["verdicts"].values():
+            assert type(value) is bool
+    assert [r["verdicts"].get("is_permutation") for r in reports] \
+        == [True, True, False, True, None]
+    assert [r["verdicts"].get("is_opoly") for r in reports] \
+        == [True, False, False, True, None]

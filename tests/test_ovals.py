@@ -12,7 +12,8 @@ from nihobent import (GF, AdelaideParams, FamilySpec, MappingTable,
                       correspond_adelaide, correspond_subiaco,
                       default_modulus, embed_subfield, frobenius_map,
                       has_affine_coset_restrictions, is_bent,
-                      is_opolynomial, subiaco_fs, subiaco_fs_explicit,
+                      is_opolynomial, is_permutation, opoly_normalize,
+                      subiaco_fs, subiaco_fs_explicit,
                       subiaco_pair, unit_circle, unit_circle_element)
 from nihobent.gf2 import is_irreducible
 from nihobent.ovals import _verify_affine_match
@@ -283,3 +284,61 @@ def test_verdicts_do_not_depend_on_the_modulus(m, data):
     want = _verdicts(family, b, beta)
     assert want[0] and want[2] and all(want[3:])
     assert _verdicts(family, iso(b), iso(beta)) == want
+
+
+def _other_generator(field, data):
+    """A primitive element other than the stored generator: g^j with
+    gcd(j, 2^k - 1) = 1 and j > 1."""
+    n = field.mult_order
+    return int(field.exp_table[data.draw(st.sampled_from(
+        [j for j in range(2, n) if gcd(j, n) == 1]))])
+
+
+def _members_and_verdicts(small, big, choice):
+    """Frobenius map, Subiaco g and f_s, and (m even) Adelaide g and f_s
+    over the given fields, each with its permutation, o-polynomial and
+    normalization results."""
+    i, case, w, s, beta = choice
+    params = (SubiacoParams.case_i(small) if case == 1 else
+              SubiacoParams.case_ii(small, w) if case == 2 else
+              SubiacoParams.case_iii(small, w))
+    members = [frobenius_map(small, i), subiaco_pair(params)[1],
+               subiaco_fs(params, s)]
+    if beta is not None:
+        adel = AdelaideParams(big.el(beta), embed_subfield(small, big))
+        members += [adelaide_pair(adel)[1], adelaide_fs(adel, s)]
+    out = []
+    for t in members:
+        norm = opoly_normalize(t).entries if t.entries[0] != t.entries[1] \
+            else None
+        out.append((t.entries, is_permutation(t), is_opolynomial(t), norm))
+    return out
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 6), st.data())
+def test_verdicts_do_not_depend_on_the_generator(m, data):
+    """Tables are bitmasks, so a non-default primitive generator must not
+    change them; is_opolynomial reads G in the discrete-log order of the
+    generator, which does change."""
+    small, big = GF(m), GF(2 * m)
+    other_small = GF(m, generator=_other_generator(small, data))
+    other_big = GF(2 * m, generator=_other_generator(big, data))
+    assert other_small != small
+    assert (other_small.exp_table != small.exp_table).any()
+    cases = [1] if m % 2 else [2] if m % 4 == 2 else []
+    w3 = SubiacoParams.case_iii_w_options(small)
+    cases += [3] if w3 else []
+    case = data.draw(st.sampled_from(cases))
+    w = (None if case == 1 else data.draw(st.sampled_from(
+        SubiacoParams.case_ii_w_options(small) if case == 2 else w3)).bits)
+    beta = None
+    if m % 2 == 0:
+        beta = data.draw(st.sampled_from(
+            [u.bits for u in unit_circle(big) if u.bits != 1]))
+    choice = (data.draw(st.integers(0, 2 * m)), case, w,
+              data.draw(st.integers(0, small.order - 1)), beta)
+    want = _members_and_verdicts(small, big, choice)
+    assert all(perm for _, perm, _, _ in want)
+    assert all(opoly for _, _, opoly, _ in want[1:])
+    assert _members_and_verdicts(other_small, other_big, choice) == want
