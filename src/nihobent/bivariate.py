@@ -23,8 +23,9 @@ tables: with G in discrete-log order, Gl[j] = G(g^j), the values
 G(g^j) + g^b g^j = Gl[j] ^ exp[(b + j) mod (q - 1)] of beta = g^b form a
 window of the doubled exp table, so no q x q table is built.  Blocks of
 about 2^14 values are counted by one bincount each, which keeps the
-working set to a few hundred KiB; the exp/log tables bound it to
-m <= 16.  g_from_h, opoly_normalize, is_permutation and is_two_to_one
+working set to a few hundred KiB.  The work is still O(q^2), so the test
+accepts m <= 16 only: a bound by time (about 20 s at m = 16), not by
+memory.  g_from_h, opoly_normalize, is_permutation and is_two_to_one
 are whole-table numpy expressions too, on the read-only int64 array that
 a MappingTable stores.
 
@@ -41,8 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boolfn import TruthTable, line_forms
-from .gf2 import (_TABLE_DEGREE_MAX, Embedding, FieldElement, FieldSpec,
-                  linear_table)
+from .gf2 import Embedding, FieldElement, FieldSpec, linear_table
 
 __all__ = [
     "NotClassHError",
@@ -282,17 +282,21 @@ def is_two_to_one(t: MappingTable) -> bool:
 # the block's values, offsets and fiber counts to a few hundred KiB
 _OPOLY_BLOCK = 1 << 14
 
+# the test does O(q^2) work, about 20 s at m = 16 on a 2-core Xeon; larger
+# m is refused rather than left to run for minutes
+_OPOLY_M_MAX = 16
+
 
 def is_opolynomial(g: MappingTable) -> bool:
     """Whether z -> G(z) + beta z is 2-to-1 for every beta != 0.  That
     property forces G itself to be a permutation, which is re-checked
-    here as a guard.  Needs the exp/log tables, so m <= 16."""
+    here as a guard.  Accepts m <= 16, a bound by time."""
     field = g.field
-    exp = field.exp_table
-    if exp is None:
+    if field.degree > _OPOLY_M_MAX:
         raise ValueError(
-            f"the o-polynomial test needs m <= {_TABLE_DEGREE_MAX} "
-            f"(exp/log tables); got m = {field.degree}")
+            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (O(q^2) "
+            f"work); got m = {field.degree}")
+    exp = field.exp_table
     q = field.order
     entries = g.array()
     g_log = entries[exp]

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import GF, FieldElement, FieldSpec, embed_subfield, linear_table
+from .gf2 import (_DEGREE_MAX, GF, FieldElement, FieldSpec, embed_subfield,
+                  linear_table)
 
 __all__ = [
     "TruthTable",
@@ -99,7 +100,7 @@ class TruthTable:
             n = int(lines[0][2:])
         except ValueError:
             raise ValueError(f"bad table header {lines[0]!r}") from None
-        if not 0 <= n <= 24:
+        if not 0 <= n <= _DEGREE_MAX:
             raise ValueError(f"table size n={n} out of range")
         row = lines[1]
         # a non-ASCII character becomes "?", which fails the 0/1 test
@@ -166,42 +167,25 @@ class TraceForm:
 
     def truth_table(self) -> TruthTable:
         field = self.field
-        n = field.degree
-        size = 1 << n
-        if field.exp_table is not None:
-            out = np.zeros(size, dtype=np.uint8)
-            order = field.mult_order
-            logs = field.log_table[1:]
-            exps = field.exp_table
-            for t in self.terms:
-                # entries at non-subfield points are arbitrary bitmasks;
-                # only subfield points (guaranteed by validation) are read
-                tr = field.subfield_trace_table(t.subfield_degree)
-                if t.coeff.bits == 0:
-                    continue
-                if t.exponent == 0:
-                    # x^0 = 1 everywhere, including x = 0
-                    out ^= np.uint8(tr[t.coeff.bits])
-                    continue
-                logc = field._log[t.coeff.bits]
-                vals = tr[exps[(logs * t.exponent + logc) % order]]
-                if vals.max() > 1:
-                    raise AssertionError("trace term left the prime field")
-                out[1:] ^= vals.astype(np.uint8)
-            return TruthTable(n, out)
-        vals = [0] * size
+        out = np.zeros(field.order, dtype=np.uint8)
+        logs = field.log_table[1:]
         for t in self.terms:
-            r, c, e = t.subfield_degree, t.coeff.bits, t.exponent
-            for x in range(size):
-                y = field.mul_bits(c, field.pow_bits(x, e))
-                acc = s = y
-                for _ in range(r - 1):
-                    s = field.mul_bits(s, s)
-                    acc ^= s
-                if acc > 1:
-                    raise AssertionError("trace term left the prime field")
-                vals[x] ^= acc
-        return TruthTable(n, vals)
+            # entries at non-subfield points are arbitrary bitmasks;
+            # only subfield points (guaranteed by validation) are read
+            tr = field.subfield_trace_table(t.subfield_degree)
+            if t.coeff.bits == 0:
+                continue
+            if t.exponent == 0:
+                # x^0 = 1 everywhere, including x = 0
+                out ^= np.uint8(tr[t.coeff.bits])
+                continue
+            logc = field._log[t.coeff.bits]
+            vals = tr[field.exp_table[(logs * t.exponent + logc)
+                                      % field.mult_order]]
+            if vals.max() > 1:
+                raise AssertionError("trace term left the prime field")
+            out[1:] ^= vals.astype(np.uint8)
+        return TruthTable(field.degree, out)
 
     def to_json(self) -> list:
         return [{"subfield": t.subfield_degree,
@@ -343,10 +327,9 @@ def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
         raise ValueError("field degree does not match table size")
     m = n // 2
     emb = embed_subfield(GF(m), field)
-    mul = field.mul_bits
-    reps = [1]
-    for _ in range(1 << m):
-        reps.append(mul(reps[-1], field.generator))
-    points = linear_table([[mul(u, emb.table[1 << i]) for u in reps]
-                           for i in range(m)])
+    # g^k emb(X^i) = exp[(k + log emb(X^i)) mod (q - 1)]
+    logs = field.log_table[[emb.table[1 << i] for i in range(m)]]
+    ks = np.arange((1 << m) + 1)
+    points = linear_table(
+        field.exp_table[(logs[:, None] + ks) % field.mult_order])
     return line_forms(tt.values[points.T])[2] is None

@@ -1,4 +1,4 @@
-"""Exact arithmetic in binary fields GF(2^k) for k <= 24.
+"""Exact arithmetic in binary fields GF(2^k) for k <= 20.
 
 Elements are k-bit integers: bit i is the coefficient of X^i in the
 polynomial basis 1, X, ..., X^(k-1).  A FieldSpec pins down the reduction
@@ -17,10 +17,10 @@ Reproducibility conventions:
 Whole-field tables are GF(2)-linear maps of the bitmask, built as numpy
 arrays by one kernel, linear_table, from their k basis images (computed
 with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
-operations.  For k <= 16 the exp/log pair is doubled the same way through
-the multiply-by-g^(2^i) tables at construction; scalar mul, pow, inv and
-sqrt read Python-list copies of it in O(1), and larger degrees fall back
-to shift-and-xor arithmetic.  FieldSpec is immutable after construction and
+operations.  The exp/log pair is doubled the same way through the
+multiply-by-g^(2^i) tables at construction, for every degree; scalar mul,
+pow, inv and sqrt index it in O(1).  The pair takes 2^(k+4) bytes, 16 MiB
+at the degree cap k = 20.  FieldSpec is immutable after construction and
 every derived table is a pure function of it, so instances can be shared
 freely across threads.
 """
@@ -45,8 +45,7 @@ __all__ = [
     "unit_circle_element",
 ]
 
-_DEGREE_MAX = 24
-_TABLE_DEGREE_MAX = 16
+_DEGREE_MAX = 20
 
 
 class FieldMismatchError(ValueError):
@@ -133,9 +132,9 @@ class FieldSpec:
     Prefer the GF() factory, which caches constructed specs.  Two specs
     compare equal iff degree, modulus and generator all agree.
 
-    For degree <= 16, exp_table[j] = g^j (j < 2^k - 1) and log_table[x]
-    (log_table[0] = -1) are int64 numpy arrays for whole-table kernels;
-    above that both are None.
+    exp_table[j] = g^j (j < 2^k - 1) and log_table[x] (log_table[0] = -1)
+    are int64 numpy arrays for whole-table kernels; scalar operations
+    index the same tables through _exp and _log.
     """
 
     __slots__ = ("degree", "modulus", "generator", "order", "mult_order",
@@ -160,9 +159,6 @@ class FieldSpec:
         self.modulus = modulus
         self.order = 1 << degree
         self.mult_order = self.order - 1
-        self.exp_table = self.log_table = None
-        self._exp = None
-        self._log = None
         self._derived = {}
 
         if generator is None:
@@ -175,11 +171,9 @@ class FieldSpec:
                     f"0x{generator:x} does not generate the "
                     f"multiplicative group of GF(2^{degree})")
         self.generator = generator
+        self._build_tables()
 
-        if degree <= _TABLE_DEGREE_MAX:
-            self._build_tables()
-
-    # -- raw arithmetic used before/without tables ------------------------
+    # -- raw arithmetic used to build the tables --------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         return pmod(clmul(a, b), self.modulus)
@@ -230,9 +224,11 @@ class FieldSpec:
                 "exp table is not a permutation of the nonzero elements")
         self.exp_table = exp[:n]
         self.log_table = log
-        # scalar operations index Python lists, which is faster than numpy
-        self._exp = self.exp_table.tolist()
-        self._log = log.tolist()
+        # lists index fastest; above degree 16 they would cost ~100 MiB
+        if self.degree <= 16:
+            self._exp, self._log = self.exp_table.tolist(), log.tolist()
+        else:
+            self._exp, self._log = memoryview(self.exp_table), memoryview(log)
 
     def mul_table(self, c: int) -> np.ndarray:
         """Table of x -> c x over the whole field (GF(2)-linear in x)."""
@@ -242,11 +238,9 @@ class FieldSpec:
     # -- int-level operations (bitmask in, bitmask out) -------------------
 
     def mul_bits(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % self.mult_order]
-        return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % self.mult_order]
 
     def pow_bits(self, a: int, e: int) -> int:
         """a**e with 0**0 = 1; the exponent of a nonzero base is reduced
@@ -257,10 +251,7 @@ class FieldSpec:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        e %= self.mult_order
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % self.mult_order]
-        return self._pow_raw(a, e)
+        return self._exp[(self._log[a] * e) % self.mult_order]
 
     def inv_bits(self, a: int) -> int:
         if a == 0:
@@ -320,9 +311,6 @@ class FieldSpec:
         trace of GF(2^r) whenever y lies in that subfield.  The map is
         GF(2)-linear, so the table follows from the k basis images."""
         self._check_subdegree(r)
-        if self._exp is None:
-            raise ValueError("trace tables are only built for degree <= "
-                             f"{_TABLE_DEGREE_MAX}")
         key = ("trtab", r)
         if key not in self._derived:
             images = []
@@ -646,15 +634,13 @@ def unit_circle(field: FieldSpec) -> list[FieldElement]:
         raise ValueError("the unit circle needs even degree n = 2m")
     m = n // 2
     c = (1 << m) + 1
-    h = field.pow_bits(field.generator, field.mult_order // c)
-    bits = []
-    x = 1
-    for _ in range(c):
-        bits.append(x)
-        x = field.mul_bits(x, h)
-    if x != 1 or len(set(bits)) != c:
+    step = field.mult_order // c
+    # the powers h^i, i < c, of h = g^step
+    bits = field.exp_table[::step]
+    h = field.pow_bits(field.generator, step)
+    if field.mul_bits(int(bits[-1]), h) != 1 or len(np.unique(bits)) != c:
         raise AssertionError("circle enumeration failed")
-    return [FieldElement(b, field) for b in sorted(bits)]
+    return [FieldElement(b, field) for b in np.sort(bits).tolist()]
 
 
 def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:

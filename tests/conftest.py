@@ -212,7 +212,7 @@ def oracle_tt_from_text(text):
     except ValueError:
         return None
     row = lines[1]
-    if not 0 <= n <= 24 or len(row) != 1 << n or set(row) - {"0", "1"}:
+    if not 0 <= n <= 20 or len(row) != 1 << n or set(row) - {"0", "1"}:
         return None
     return n, [int(c == "1") for c in row]
 
@@ -230,6 +230,21 @@ def oracle_exp_log(field):
         e = oracle_mul(e, field.generator, field.modulus, k)
     assert e == 1
     return exp, log
+
+
+def oracle_mul_array(x, y, modulus, degree):
+    """Schoolbook products of int64 arrays (or of an array and an int),
+    elementwise: the oracle_mul shift-add with numpy masks, reducing after
+    every doubling step; no field tables are read."""
+    x = np.array(x, dtype=np.int64)
+    y = np.array(y, dtype=np.int64)
+    acc = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+    for _ in range(degree):
+        acc ^= x * (y & 1)
+        y = y >> 1
+        x = x << 1
+        x ^= (x >> degree) * modulus
+    return acc
 
 
 def oracle_subfield_bits(field, r):

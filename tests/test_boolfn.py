@@ -78,6 +78,7 @@ def test_text_io_matches_per_point_oracles(n, data):
     ("n=2\n01 10\n", "expected 'n=<int>' then one line of 0/1"),
     ("m=2\n0110\n", "expected 'n=<int>' then one line of 0/1"),
     ("n=two\n0110\n", "bad table header 'n=two'"),
+    ("n=21\n0\n", "table size n=21 out of range"),
     ("n=25\n0\n", "table size n=25 out of range"),
 ])
 def test_text_rejects_malformed_input(text, message):

@@ -142,11 +142,14 @@ def test_opoly_swapped_file_negative_control(tmp_path, capsys):
 
 
 def test_opoly_degree_limit(capsys):
-    assert main(["opoly", "--source", "frobenius", "--m", "17",
-                 "--exponent", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "m <= 16" in captured.err
+    # 17 and 20 hit the test's own time bound, 21 the field degree cap
+    for m, message in (("17", "m <= 16"), ("20", "m <= 16"),
+                       ("21", "field degree must be in 1..20")):
+        assert main(["opoly", "--source", "frobenius", "--m", m,
+                     "--exponent", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def test_check_one_bit_flip_negative_control(tmp_path, capsys):
@@ -164,11 +167,39 @@ def test_check_one_bit_flip_negative_control(tmp_path, capsys):
     assert doc["verdicts"]["niho"] is False
 
 
+def test_build_check_correspond_at_m9(tmp_path, capsys):
+    # GF(2^18) runs the same table path as the small fields; a one-bit
+    # flip of the written table is the negative control
+    table = tmp_path / "f.tt"
+    code, built = run(capsys, "build", "--family", "binomial3",
+                      "--m", "9", "--b", "0x5", "--out", str(table))
+    assert code == 0
+    assert built["verdicts"] == {"bent": True, "degree": 9,
+                                 "degree_matches_expected": True,
+                                 "niho": True}
+    code, checked = run(capsys, "check", str(table))
+    assert code == 0
+    assert checked["verdicts"] == {"bent": True, "degree": 9, "niho": True}
+    code, doc = run(capsys, "correspond", "--family", "subiaco",
+                    "--m", "9", "--b", "0x5")
+    assert code == 0 and doc["verdicts"]["verified"] is True
+    header, row = table.read_text().split()
+    assert header == "n=18"
+    flipped = row[:9] + "10"[int(row[9])] + row[10:]
+    table.write_text(f"{header}\n{flipped}\n")
+    code, doc = run(capsys, "check", str(table))
+    assert code == 0
+    assert doc["verdicts"]["bent"] is False
+    assert doc["verdicts"]["niho"] is False
+
+
 def test_check_rejects_malformed_tables(tmp_path, capsys):
-    # wrong length, a stray character, a bad header: exit 2, no stdout
+    # wrong length, a stray character, a bad header, a size above the
+    # field cap: exit 2, no stdout
     for text, message in (("n=2\n011\n", "expected 2^2 characters"),
                           ("n=2\n01.0\n", "expected 2^2 characters"),
-                          ("n=x\n0110\n", "bad table header 'n=x'")):
+                          ("n=x\n0110\n", "bad table header 'n=x'"),
+                          ("n=21\n0\n", "table size n=21 out of range")):
         table = tmp_path / "bad.tt"
         table.write_text(text)
         assert main(["check", str(table)]) == 2
@@ -183,7 +214,10 @@ def test_exit_code_precondition(capsys):
                  "--b", "0x1"]) == 2
     assert main(["check", "/nonexistent/file.tt"]) == 2
     assert main(["correspond", "--family", "subiaco", "--m", "2"]) == 2
-    capsys.readouterr()
+    # GF(2^22) is above the field cap
+    assert main(["build", "--family", "binomial3", "--m", "11",
+                 "--b", "0x5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_spectrum_out(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Field arithmetic, embeddings and the unit circle."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (oracle_embedding_table, oracle_exp_log,
-                      oracle_irreducible, oracle_mul, oracle_pow,
-                      oracle_subfield_bits, oracle_trace, oracle_trace_table)
+                      oracle_irreducible, oracle_mul, oracle_mul_array,
+                      oracle_pow, oracle_subfield_bits, oracle_trace,
+                      oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, default_modulus,
                       embed_subfield, linear_table, unit_circle,
                       unit_circle_element)
@@ -136,13 +140,24 @@ def test_dual_basis_property():
 
 
 def test_large_degree_fallback_path():
-    # degree above the exp/log table limit exercises the shift-xor kernels
-    F = GF(17)
+    # above degree 16 scalar ops index memoryviews of the exp/log arrays
+    # instead of lists; both the table path and _mul_raw, the shift-xor
+    # primitive that builds the tables, must match the schoolbook oracle
     x, y = 0x1abcd, 0x0f0f1
-    assert F.mul_bits(x, y) == oracle_mul(x, y, F.modulus, 17)
-    assert F.mul_bits(F.inv_bits(x), x) == 1
-    s = F.sqrt_bits(x)
-    assert F.mul_bits(s, s) == x
+    for k in range(17, 21):
+        F = GF(k)
+        assert F.mul_bits(x, y) == oracle_mul(x, y, F.modulus, k)
+        assert F._mul_raw(x, y) == oracle_mul(x, y, F.modulus, k)
+        assert F.mul_bits(F.inv_bits(x), x) == 1
+        s = F.sqrt_bits(x)
+        assert F.mul_bits(s, s) == x
+
+
+def test_degree_cap():
+    for k in (0, 21):
+        with pytest.raises(ValueError, match="field degree must be in "
+                                             "1..20"):
+            GF(k)
 
 
 def test_linear_table_int_and_array_images():
@@ -152,9 +167,12 @@ def test_linear_table_int_and_array_images():
     assert cols.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 1, 1]]
 
 
-@pytest.mark.parametrize("k", range(1, 17))
+@pytest.mark.parametrize("k", range(1, 21))
 def test_table_kernels_match_oracles(k):
     F = GF(k)
+    if k > 16:
+        _check_large_tables(F)
+        return
     exp, log = oracle_exp_log(F)
     assert F.exp_table.tolist() == exp and F._exp == exp
     assert F.log_table.tolist() == log and F._log == log
@@ -164,6 +182,45 @@ def test_table_kernels_match_oracles(k):
     for r in (d for d in range(1, k + 1) if k % d == 0):
         assert F.subfield_bits(r) == oracle_subfield_bits(F, r)
         assert F.subfield_trace_table(r).tolist() == oracle_trace_table(F, r)
+
+
+def _check_large_tables(F):
+    """The per-point oracles are too slow above degree 16: the exp/log
+    pair is checked whole by vectorized schoolbook products, the derived
+    tables on every point that the cost allows and a sample beyond."""
+    k, mod = F.degree, F.modulus
+    exp, log = F.exp_table, F.log_table
+    # exp[0] = 1 and exp[j + 1] = exp[j] g (cyclically) give exp[j] = g^j;
+    # log[exp[j]] = j then makes exp a permutation of the nonzero elements
+    assert exp[0] == 1 and log[0] == -1
+    assert np.array_equal(oracle_mul_array(exp, F.generator, mod, k),
+                          np.roll(exp, -1))
+    assert np.array_equal(log[exp], np.arange(F.mult_order))
+    # scalar ops index zero-copy views, not list copies
+    assert np.shares_memory(np.asarray(F._exp), exp)
+    assert np.shares_memory(np.asarray(F._log), log)
+    points = np.arange(F.order)
+    for c in (F.generator, 1 << (k - 1), F.order - 1):
+        assert np.array_equal(F.mul_table(c),
+                              oracle_mul_array(points, c, mod, k))
+    rng = random.Random(k)
+    sample = np.array([1 << i for i in range(k)]
+                      + rng.sample(range(F.order), 256))
+    for r in (d for d in range(1, k + 1) if k % d == 0):
+        # 2^r distinct sorted roots of x^(2^r) = x are the whole subfield;
+        # every root is checked up to 2^10 of them, a stride sample above
+        sub = np.array(F.subfield_bits(r))
+        assert len(sub) == 1 << r and (np.diff(sub) > 0).all()
+        roots = sub[::max(1, len(sub) >> 10)]
+        y = roots
+        for _ in range(r):
+            y = oracle_mul_array(y, y, mod, k)
+        assert np.array_equal(y, roots)
+        acc = t = sample
+        for _ in range(r - 1):
+            t = oracle_mul_array(t, t, mod, k)
+            acc = acc ^ t
+        assert np.array_equal(F.subfield_trace_table(r)[sample], acc)
 
 
 @pytest.mark.parametrize("r,k", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 6),
