@@ -11,31 +11,21 @@ Usage: python3 scripts/family_survey.py --m-min 2 --m-max 5 --samples 24
 
 import argparse
 import random
-from dataclasses import dataclass
 
-from nihobent import GF, FamilySpec, build_bent, family_report, walsh_spectrum
+from nihobent import GF, FamilySpec, build_bent, family_report, is_bent
 from nihobent.boolfn import anf_degree
 
 
-@dataclass
-class SurveyConfig:
-    m_min: int = 2
-    m_max: int = 5
-    samples: int = 24
-    seed: int = 1
-
-
-def survey_family(cfg, rng, family, m):
+def survey_family(samples, rng, family, m):
     F = GF(2 * m)
     if family == "quadratic":
         pool = [x for x in sorted(F.subfield_bits(m)) if x]
     elif family == "leander_kholosha":
-        pool = [x for x in range(1 << (2 * m))
-                if (F.el(x) + F.el(x).frob(m)).bits == 1]
+        pool = [x for x in range(F.order) if x ^ F.frob_bits(x, m) == 1]
     else:
         pool = list(range(1, 1 << (2 * m)))
-    if len(pool) > cfg.samples:
-        pool = rng.sample(pool, cfg.samples)
+    if len(pool) > samples:
+        pool = rng.sample(pool, samples)
     r = 2 if m % 2 else 3  # smallest r > 1 coprime to m
     degrees = {}
     bent = 0
@@ -47,9 +37,7 @@ def survey_family(cfg, rng, family, m):
         else:
             spec = FamilySpec(family, m, b=F.el(bits))
         tt = build_bent(spec).truth_table()
-        values = set(int(v) for v in walsh_spectrum(tt).values)
-        if values <= {1 << m, -(1 << m)}:
-            bent += 1
+        bent += is_bent(tt)
         deg = anf_degree(tt)
         degrees[deg] = degrees.get(deg, 0) + 1
     rep = family_report(
@@ -69,19 +57,19 @@ def main():
     ap.add_argument("--m-max", type=int, default=5)
     ap.add_argument("--samples", type=int, default=24)
     ap.add_argument("--seed", type=int, default=1)
-    ns = ap.parse_args()
-    cfg = SurveyConfig(ns.m_min, ns.m_max, ns.samples, ns.seed)
-    rng = random.Random(cfg.seed)
+    args = ap.parse_args()
+    rng = random.Random(args.seed)
 
     header = f"{'family':18} {'m':>2} {'tested':>6} {'bent':>5} " \
              f"{'d2':>6} {'gcd':>3} degrees"
     print(header)
     print("-" * len(header))
-    for m in range(cfg.m_min, cfg.m_max + 1):
+    for m in range(args.m_min, args.m_max + 1):
         fams = ["quadratic", "binomial3", "leander_kholosha"]
         fams += ["binomial4"] if m % 2 else ["binomial6", "adelaide"]
         for family in fams:
-            tested, bent, degrees, rep = survey_family(cfg, rng, family, m)
+            tested, bent, degrees, rep = survey_family(args.samples, rng,
+                                                       family, m)
             degs = " ".join(f"{d}x{c}" for d, c in sorted(degrees.items()))
             print(f"{family:18} {m:>2} {tested:>6} {bent:>5} "
                   f"{rep.d2 if rep.d2 else '-':>6} "

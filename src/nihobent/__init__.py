@@ -49,6 +49,7 @@ from .bivariate import (
     is_permutation,
     is_two_to_one,
     is_opolynomial,
+    check_opoly_degree,
     opoly_normalize,
     closed_form_g,
     closed_form_g_circle,

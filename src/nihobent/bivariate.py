@@ -56,6 +56,7 @@ __all__ = [
     "is_permutation",
     "is_two_to_one",
     "is_opolynomial",
+    "check_opoly_degree",
     "opoly_normalize",
     "closed_form_g",
     "closed_form_g_circle",
@@ -142,13 +143,6 @@ class MappingTable:
         if self._entries is None:
             self._entries = tuple(self._array.tolist())
         return self._entries
-
-    def apply(self, z) -> FieldElement:
-        if isinstance(z, FieldElement):
-            if z.field != self.field:
-                raise ValueError("argument from the wrong field")
-            z = z.bits
-        return FieldElement(self.entries[z], self.field)
 
     def __eq__(self, other):
         if not isinstance(other, MappingTable):
@@ -287,15 +281,21 @@ _OPOLY_BLOCK = 1 << 14
 _OPOLY_M_MAX = 16
 
 
+def check_opoly_degree(m: int) -> None:
+    """Raise ValueError unless is_opolynomial accepts degree m, so that
+    a caller can refuse m before it builds any table."""
+    if m > _OPOLY_M_MAX:
+        raise ValueError(
+            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (O(q^2) "
+            f"work); got m = {m}")
+
+
 def is_opolynomial(g: MappingTable) -> bool:
     """Whether z -> G(z) + beta z is 2-to-1 for every beta != 0.  That
     property forces G itself to be a permutation, which is re-checked
     here as a guard.  Accepts m <= 16, a bound by time."""
     field = g.field
-    if field.degree > _OPOLY_M_MAX:
-        raise ValueError(
-            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (O(q^2) "
-            f"work); got m = {field.degree}")
+    check_opoly_degree(field.degree)
     exp = field.exp_table
     q = field.order
     entries = g.array()

@@ -30,8 +30,9 @@ import time
 
 import numpy as np
 
-from .bivariate import (InternalCheckError, MappingTable, is_opolynomial,
-                        is_permutation, opoly_normalize)
+from .bivariate import (InternalCheckError, MappingTable,
+                        check_opoly_degree, is_opolynomial, is_permutation,
+                        opoly_normalize)
 from .boolfn import (TruthTable, anf_degree, has_affine_coset_restrictions,
                      is_bent, walsh_spectrum)
 from .gf2 import GF, FieldSpec, embed_subfield, unit_circle_element
@@ -161,6 +162,7 @@ def _cmd_correspond(args) -> dict:
 def _opoly_table(args) -> tuple[MappingTable, dict]:
     if args.source == "subiaco":
         field = _field(args.m, args.modulus)
+        check_opoly_degree(args.m)
         if args.case == 1:
             params = SubiacoParams.case_i(field)
         elif args.case == 2:
@@ -205,12 +207,14 @@ def _opoly_table(args) -> tuple[MappingTable, dict]:
         if size != 1 << m:
             raise ValueError(f"table length {size} is not a power of 2")
         field = _field(m, args.modulus)
+        check_opoly_degree(m)
         table = MappingTable.from_json(field, data)
         return table, {"source": "file", "file": args.file, "m": m}
     # frobenius
     if args.exponent is None:
         raise ValueError("frobenius source needs --exponent")
     field = _field(args.m, args.modulus)
+    check_opoly_degree(args.m)
     table = frobenius_map(field, args.exponent)
     return table, {"source": "frobenius", "m": args.m,
                    "exponent": args.exponent}

@@ -266,23 +266,24 @@ class FieldSpec:
         """a ** (2^i)."""
         return self.pow_bits(a, 1 << i)
 
+    def _frob_sum(self, a: int, step: int, terms: int) -> int:
+        """sum_{i < terms} a^(2^(step i)), one exp lookup per term."""
+        if a == 0:
+            return 0
+        j, acc = self._log[a], a
+        for _ in range(terms - 1):
+            j = (j << step) % self.mult_order
+            acc ^= self._exp[j]
+        return acc
+
     def trace_bits(self, a: int) -> int:
         """Absolute trace to GF(2); always 0 or 1."""
-        acc = t = a
-        for _ in range(self.degree - 1):
-            t = self.mul_bits(t, t)
-            acc ^= t
-        return acc
+        return self._frob_sum(a, 1, self.degree)
 
     def rel_trace_bits(self, a: int, r: int) -> int:
         """Relative trace onto the subfield GF(2^r), r | k."""
         self._check_subdegree(r)
-        acc = t = a
-        for _ in range(self.degree // r - 1):
-            for _ in range(r):
-                t = self.mul_bits(t, t)
-            acc ^= t
-        return acc
+        return self._frob_sum(a, r, self.degree // r)
 
     def in_subfield_bits(self, a: int, r: int) -> bool:
         self._check_subdegree(r)
@@ -313,14 +314,8 @@ class FieldSpec:
         self._check_subdegree(r)
         key = ("trtab", r)
         if key not in self._derived:
-            images = []
-            for i in range(self.degree):
-                acc = t = 1 << i
-                for _ in range(r - 1):
-                    t = self.mul_bits(t, t)
-                    acc ^= t
-                images.append(acc)
-            self._derived[key] = linear_table(images)
+            self._derived[key] = linear_table(
+                [self._frob_sum(1 << i, 1, r) for i in range(self.degree)])
         return self._derived[key]
 
     def gram_rows(self) -> list[int]:
@@ -390,16 +385,6 @@ class FieldSpec:
     @property
     def gen(self) -> "FieldElement":
         return FieldElement(self.generator, self)
-
-    def elements(self):
-        """All field elements in bitmask order."""
-        for bits in range(self.order):
-            yield FieldElement(bits, self)
-
-    def star(self):
-        """All nonzero elements in bitmask order."""
-        for bits in range(1, self.order):
-            yield FieldElement(bits, self)
 
     # -- identity ----------------------------------------------------------
 

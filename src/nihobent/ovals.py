@@ -7,16 +7,20 @@ pair (f, g) and the one-parameter blend
 
     f_s = (f + e s g + s^(1/2) x^(1/2)) / (1 + e s + s^(1/2)),
 
-whose denominator never vanishes because tr(e) = 1.  The Adelaide catalog
+whose denominator never vanishes because tr(e) = 1; each term is
+GF(2)-linear in a table (f, g or x^(1/2)), so f_s is a composition of
+whole-table maps with no per-point loop.  The Adelaide catalog
 (m even) is defined through relative traces of a unit-circle element beta
 of GF(2^n), so it is evaluated inside the big field on embedded arguments
 and projected back.
 
-correspond_subiaco / correspond_adelaide run the whole pipeline: build
-the binomial bent function, split it over the basis (u, 1), extract G,
-build the claimed catalog member, and check G(z) = c0 + c1 member(z) on
-every point.  A mismatch raises VerificationError: it would mean the
-implementation (or the claimed correspondence) is wrong.
+correspond_subiaco / correspond_adelaide run the whole pipeline.  Each
+branch derives its parameters (s, c0, c1, the catalog case) and builds
+the claimed catalog member; one shared tail then builds the binomial
+bent function, splits it over the basis (u, 1), extracts G, and checks
+G(z) = c0 + c1 member(z) on every point.  A mismatch raises
+VerificationError: it would mean the implementation (or the claimed
+correspondence) is wrong.
 
 Every f_s evaluation cross-checks the defining blend against the
 published explicit rational form; for the arbitrary-m case the explicit
@@ -86,14 +90,14 @@ class SubiacoParams:
                 w: FieldElement | int | None = None) -> "SubiacoParams":
         if field.degree % 4 != 2:
             raise ValueError("case 2 needs m = 2 (mod 4)")
-        options = cls.case_ii_w_options(field)
         if w is None:
-            w = options[0]
-        else:
-            w = _as_element(field, w)
-            if w not in options:
-                raise ValueError(
-                    f"w = 0x{w.bits:x} does not satisfy w^2 + w + 1 = 0")
+            # the roots are the cube roots of unity r and r^2 = r + 1
+            r = field.pow_bits(field.generator, field.mult_order // 3)
+            w = min(r, r ^ 1)
+        w = _as_element(field, w)
+        if (w * w + w + 1).bits:
+            raise ValueError(
+                f"w = 0x{w.bits:x} does not satisfy w^2 + w + 1 = 0")
         e = w
         if field.trace_bits(e.bits) != 1:
             raise InternalCheckError("case 2 e must have trace 1")
@@ -115,13 +119,15 @@ class SubiacoParams:
 
     @staticmethod
     def case_ii_w_options(field: FieldSpec) -> list:
-        """Both roots of w^2 + w + 1 in GF(2^m), bitmask order."""
-        opts = [field.el(x) for x in range(field.order)
-                if field.mul_bits(x, x) ^ x ^ 1 == 0]
+        """Both roots of w^2 + w + 1 in GF(2^m), bitmask order: the
+        preimage of 1 under the GF(2)-linear map x -> x^2 + x."""
+        moved = linear_table([field.frob_bits(1 << i) ^ (1 << i)
+                              for i in range(field.degree)])
+        opts = np.flatnonzero(moved == 1).tolist()
         if len(opts) != 2:
             raise ValueError(
                 f"GF(2^{field.degree}) has no cube roots of unity")
-        return opts
+        return [field.el(x) for x in opts]
 
     @staticmethod
     def case_iii_w_options(field: FieldSpec) -> list:
@@ -177,15 +183,12 @@ def _blend(field: FieldSpec, f: MappingTable, g: MappingTable,
     if a_div.bits == 0:
         raise InternalCheckError(
             "blend denominator vanished although tr(e) = 1")
-    inv_a = a_div.inv()
-    es = e * s
-    ss = s.sqrt()
-    entries = []
-    for xb in range(field.order):
-        x = field.el(xb)
-        entries.append(((f.apply(xb) + es * g.apply(xb) + ss * x.sqrt())
-                        * inv_a).bits)
-    return MappingTable(field, entries)
+    sqrt_tab = linear_table([field.sqrt_bits(1 << i)
+                             for i in range(field.degree)])
+    mul = field.mul_table
+    return MappingTable(field, mul(a_div.inv().bits)[
+        f.array() ^ mul((e * s).bits)[g.array()]
+        ^ mul(s.sqrt().bits)[sqrt_tab]])
 
 
 def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
@@ -328,7 +331,7 @@ def adelaide_f1(p: AdelaideParams) -> MappingTable:
         sx = x.sqrt()
         dl = (x + trb * sx + 1) ** (l - 1)
         rhs = tr2l + ((x + b2) ** l).rel_trace(m) / dl + trb * sx
-        if scale * emb(f1.apply(xb)) != rhs:
+        if scale * emb(f1.entries[xb]) != rhs:
             raise InternalCheckError(
                 f"f_1 display mismatch at x = 0x{xb:x}")
     return f1
@@ -402,6 +405,21 @@ def _verify_affine_match(extracted: MappingTable, member: MappingTable,
     return small.order
 
 
+def _verified(what: str, bent: str, b_or_one: FieldElement,
+              emb: Embedding, member: MappingTable, c0: FieldElement,
+              c1: FieldElement, u: FieldElement,
+              **fields) -> Correspondence:
+    """The shared tail: extract G from the bent function over the basis
+    (u, 1), check G = c0 + c1 member on every point, and package the
+    result with the remaining Correspondence fields."""
+    m = emb.small.degree
+    extracted = _extract_g(b_or_one, bent, m, u, emb)
+    checked = _verify_affine_match(extracted, member, c0, c1, what)
+    return Correspondence(m=m, c0=c0, c1=c1, u=u, verified=True,
+                          points_checked=checked, member=member,
+                          extracted=extracted, **fields)
+
+
 def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
                        small: FieldSpec | None = None) -> Correspondence:
     """Match the s=3 binomial bent function for coefficient b against its
@@ -419,6 +437,8 @@ def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
     emb = embed_subfield(small, big)
     a = b ** ((1 << m) + 1)
     sqa = a.sqrt()
+    branch = "generic"
+    retried = []
 
     if m % 2 == 1:
         if u is None:
@@ -427,29 +447,17 @@ def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
             raise ValueError("u must be a nontrivial cube root of unity")
         params = SubiacoParams.case_i(small)
         if b ** ((1 << m) - 1) == u * u:
-            bu = b * u
-            c0 = c1 = emb.project(bu)
+            branch, what, s = "degenerate_g", "degenerate branch (m odd)", None
+            c0 = c1 = emb.project(b * u)
             member = subiaco_pair(params)[1]
-            extracted = _extract_g(b, "binomial3", m, u, emb)
-            checked = _verify_affine_match(extracted, member, c0, c1,
-                                           "degenerate branch (m odd)")
-            return Correspondence("subiaco", "degenerate_g", m, None,
-                                  c0, c1, 1, params.w, u, None, (),
-                                  True, checked, member, extracted)
-        bb = (b / sqa) ** 2
-        s_big = (1 + bb) / (u * u + bb * u)
-        s = emb.project(s_big)
-        c0 = emb.project(sqa + (b * u).rel_trace(m))
-        c1 = emb.project(sqa)
-        member = subiaco_fs(params, s)
-        extracted = _extract_g(b, "binomial3", m, u, emb)
-        checked = _verify_affine_match(extracted, member, c0, c1,
-                                       "generic branch (m odd)")
-        return Correspondence("subiaco", "generic", m, s, c0, c1, 1,
-                              params.w, u, None, (), True, checked,
-                              member, extracted)
-
-    if m % 4 == 2:
+        else:
+            what = "generic branch (m odd)"
+            bb = (b / sqa) ** 2
+            s = emb.project((1 + bb) / (u * u + bb * u))
+            c0 = emb.project(sqa + (b * u).rel_trace(m))
+            c1 = emb.project(sqa)
+            member = subiaco_fs(params, s)
+    elif m % 4 == 2:
         if u is None:
             candidates = [unit_circle_element(big, f"fifth:{j}")
                           for j in (1, 2, 3, 4)]
@@ -460,53 +468,46 @@ def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
             candidates = [u] + [v for j in (1, 2, 3, 4)
                                 if (v := unit_circle_element(
                                     big, f"fifth:{j}")) != u]
-        retried = []
-        for cand in candidates:
-            t4 = (b * (cand ** 4 + 1)).rel_trace(m)
+        what = "generic branch (m = 2 mod 4)"
+        for u in candidates:
+            t4 = (b * (u ** 4 + 1)).rel_trace(m)
             if t4.bits == 0:
-                retried.append(cand.bits)
+                retried.append(u.bits)
                 continue
-            w_big = cand + cand.frob(m)
-            s_big = w_big * w_big * (b * (cand + 1)).rel_trace(m) / t4
+            w_big = u + u.frob(m)
+            s_big = w_big * w_big * (b * (u + 1)).rel_trace(m) / t4
             s = emb.project(s_big)
-            w = emb.project(w_big)
-            params = SubiacoParams.case_ii(small, w)
+            params = SubiacoParams.case_ii(small, emb.project(w_big))
             c0 = emb.project(sqa + b.rel_trace(m))
             c1 = emb.project((1 + w_big * s_big + s_big.sqrt()) * t4)
             member = subiaco_fs(params, s)
-            extracted = _extract_g(b, "binomial3", m, cand, emb)
-            checked = _verify_affine_match(
-                extracted, member, c0, c1, "generic branch (m = 2 mod 4)")
-            return Correspondence("subiaco", "generic", m, s, c0, c1, 2,
-                                  w, cand, None, tuple(retried), True,
-                                  checked, member, extracted)
-        raise InternalCheckError(
-            "every fifth root was degenerate; at most one can be")
-
-    # m = 0 (mod 4)
-    if b.bits != 1:
-        raise ValueError(
-            "for m = 0 (mod 4) only b = 1 is supported; the catalog "
-            "correspondence for general b is not established")
-    if u is None:
-        u = unit_circle_element(big, "general:0")
-    elif u.field != big or (u ** ((1 << m) + 1)).bits != 1 \
-            or u.in_subfield(m):
-        raise ValueError("u must lie on the unit circle outside GF(2^m)")
-    w_big = u + u.frob(m)
-    w = emb.project(w_big)
-    params = SubiacoParams.case_iii(small, w)
-    # the published target is the EXPLICIT form at parameter 0, which
-    # is the blend at s = 1 (case-3 forms differ by the s+1 shift)
-    s = small.one
-    c0 = emb.project(1 + (u ** 5).rel_trace(m))
-    c1 = emb.project(w_big * w_big + w_big ** 5 + w_big.sqrt())
-    member = subiaco_fs(params, s)
-    extracted = _extract_g(b, "binomial3", m, u, emb)
-    checked = _verify_affine_match(extracted, member, c0, c1,
-                                   "m = 0 (mod 4) branch")
-    return Correspondence("subiaco", "generic", m, s, c0, c1, 3, w, u,
-                          None, (), True, checked, member, extracted)
+            break
+        else:
+            raise InternalCheckError(
+                "every fifth root was degenerate; at most one can be")
+    else:  # m = 0 (mod 4)
+        if b.bits != 1:
+            raise ValueError(
+                "for m = 0 (mod 4) only b = 1 is supported; the catalog "
+                "correspondence for general b is not established")
+        if u is None:
+            u = unit_circle_element(big, "general:0")
+        elif u.field != big or (u ** ((1 << m) + 1)).bits != 1 \
+                or u.in_subfield(m):
+            raise ValueError("u must lie on the unit circle outside GF(2^m)")
+        what = "m = 0 (mod 4) branch"
+        w_big = u + u.frob(m)
+        params = SubiacoParams.case_iii(small, emb.project(w_big))
+        # the published target is the EXPLICIT form at parameter 0, which
+        # is the blend at s = 1 (case-3 forms differ by the s+1 shift)
+        s = small.one
+        c0 = emb.project(1 + (u ** 5).rel_trace(m))
+        c1 = emb.project(w_big * w_big + w_big ** 5 + w_big.sqrt())
+        member = subiaco_fs(params, s)
+    return _verified(what, "binomial3", b, emb, member, c0, c1, u,
+                     family="subiaco", branch=branch, s=s,
+                     catalog_case=params.case, w=params.w, beta=None,
+                     retried=tuple(retried))
 
 
 def correspond_adelaide(beta: FieldElement,
@@ -522,13 +523,10 @@ def correspond_adelaide(beta: FieldElement,
         small = GF(m)
     emb = embed_subfield(small, big)
     params = AdelaideParams(beta, emb)
-    u = beta * beta
     member = adelaide_f1(params)
     c0 = emb.project(1 + (beta ** (2 * params.l)).rel_trace(m))
     c1 = emb.project(params.e_big * params.trb * params.trbl)
-    extracted = _extract_g(big.one, "adelaide", m, u, emb)
-    checked = _verify_affine_match(extracted, member, c0, c1,
-                                   "Adelaide display")
-    return Correspondence("adelaide", "generic", m, small.one, c0, c1,
-                          None, None, u, beta, (), True, checked,
-                          member, extracted)
+    return _verified("Adelaide display", "adelaide", big.one, emb, member,
+                     c0, c1, beta * beta, family="adelaide",
+                     branch="generic", s=small.one, catalog_case=None,
+                     w=None, beta=beta, retried=())

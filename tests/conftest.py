@@ -49,6 +49,18 @@ def oracle_trace(x, modulus, degree):
     return acc
 
 
+def oracle_rel_trace(x, r, modulus, degree):
+    """sum_{i < degree/r} x^(2^(r i)), by r schoolbook squarings per
+    term."""
+    acc = 0
+    y = x
+    for _ in range(degree // r):
+        acc ^= y
+        for _ in range(r):
+            y = oracle_mul(y, y, modulus, degree)
+    return acc
+
+
 def oracle_irreducible(modulus, degree):
     """Irreducibility over GF(2) via sympy, entirely separate from the
     library's trial-division test."""
@@ -152,6 +164,16 @@ def oracle_is_opoly(entries, field):
         if any(c != 2 for c in seen.values()):
             return False
     return True
+
+
+def oracle_blend(field, f, g, e, s):
+    """(f + e s g + (s x)^(1/2)) / (1 + e s + s^(1/2)) one point at a
+    time with FieldElement arithmetic; a list of bitmasks."""
+    inv_a = (1 + e * s + s.sqrt()).inv()
+    es, ss = e * s, s.sqrt()
+    return [((field.el(f.entries[x]) + es * field.el(g.entries[x])
+              + ss * field.el(x).sqrt()) * inv_a).bits
+            for x in range(field.order)]
 
 
 def oracle_frobenius(field, i):

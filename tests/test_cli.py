@@ -141,7 +141,14 @@ def test_opoly_swapped_file_negative_control(tmp_path, capsys):
     assert doc["verdicts"]["is_permutation"] is True
 
 
-def test_opoly_degree_limit(capsys):
+def test_opoly_degree_limit(tmp_path, capsys, monkeypatch):
+    # the limit is checked before any table is read or evaluated
+    def never(*args):
+        raise AssertionError("table built above the degree limit")
+
+    for name in ("subiaco_fs", "subiaco_pair", "frobenius_map"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.MappingTable, "from_json", never)
     # 17 and 20 hit the test's own time bound, 21 the field degree cap
     for m, message in (("17", "m <= 16"), ("20", "m <= 16"),
                        ("21", "field degree must be in 1..20")):
@@ -150,6 +157,17 @@ def test_opoly_degree_limit(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    table = tmp_path / "g17.json"
+    table.write_text(json.dumps(["0x0"] * (1 << 17)))
+    for argv in (["--source", "subiaco", "--m", "17", "--case", "1"],
+                 ["--source", "subiaco", "--m", "20", "--case", "3",
+                  "--w", "0x3", "--s", "0x1"],
+                 ["--source", "file", "--file", str(table)]):
+        assert main(["opoly", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m <= 16" in captured.err
 
 
 def test_check_one_bit_flip_negative_control(tmp_path, capsys):

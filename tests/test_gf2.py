@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from conftest import (oracle_embedding_table, oracle_exp_log,
                       oracle_irreducible, oracle_mul, oracle_mul_array,
-                      oracle_pow, oracle_subfield_bits, oracle_trace,
-                      oracle_trace_table)
+                      oracle_pow, oracle_rel_trace, oracle_subfield_bits,
+                      oracle_trace, oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, default_modulus,
                       embed_subfield, linear_table, unit_circle,
                       unit_circle_element)
@@ -115,6 +115,18 @@ def test_relative_trace_lands_in_subfield(k, r):
     for x in range(1 << k):
         small = emb.project(F.el(F.rel_trace_bits(x, r)))
         assert S.trace_bits(small.bits) == F.trace_bits(x)
+
+
+@given(st.integers(0, (1 << 20) - 1))
+def test_rel_trace_matches_oracle(x):
+    # every subfield degree r | k for k <= 12, and the largest fields
+    for k in [*range(1, 13), 17, 18, 19, 20]:
+        F = GF(k)
+        y = x & (F.order - 1)
+        for r in range(1, k + 1):
+            if k % r == 0:
+                assert F.rel_trace_bits(y, r) == \
+                    oracle_rel_trace(y, r, F.modulus, k)
 
 
 def test_generator_has_full_order():

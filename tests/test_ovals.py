@@ -1,11 +1,13 @@
 """Hyperoval catalog members and bent-to-catalog correspondences."""
 
+import re
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_frobenius, oracle_is_opoly
+from conftest import (oracle_blend, oracle_frobenius, oracle_is_opoly,
+                      oracle_mul)
 from nihobent import (GF, AdelaideParams, FamilySpec, MappingTable,
                       SubiacoParams, VerificationError, adelaide_f1,
                       adelaide_fs, adelaide_pair, anf_degree, build_bent,
@@ -55,6 +57,60 @@ def test_case_ii_w_options_frozen():
     assert [w.bits for w in opts] == [0x2, 0x3]
     for w in opts:
         assert (w * w + w + GF4.one).bits == 0
+
+
+def test_case_ii_w_options_match_scan():
+    for m in range(1, 13):
+        field = GF(m)
+        scan = [x for x in range(field.order)
+                if oracle_mul(x, x, field.modulus, m) ^ x ^ 1 == 0]
+        if not scan:
+            with pytest.raises(ValueError, match="no cube roots of unity"):
+                SubiacoParams.case_ii_w_options(field)
+            continue
+        opts = SubiacoParams.case_ii_w_options(field)
+        assert [w.bits for w in opts] == scan
+        if m % 4 == 2:
+            assert SubiacoParams.case_ii(field).w == opts[0]
+
+
+def test_case_ii_rejects_non_root():
+    field = GF(6)
+    for bits in (0x0, 0x1, 0x2):
+        message = f"w = 0x{bits:x} does not satisfy w^2 + w + 1 = 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SubiacoParams.case_ii(field, bits)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_blends_match_pointwise_oracle(data):
+    # every Subiaco case that exists at m, and Adelaide for even m
+    m = data.draw(st.integers(2, 7))
+    field = GF(m)
+    s = field.el(data.draw(st.integers(0, field.order - 1)))
+    params = []
+    if m % 2:
+        params.append(SubiacoParams.case_i(field))
+    if m % 4 == 2:
+        params.append(SubiacoParams.case_ii(field, data.draw(
+            st.sampled_from(SubiacoParams.case_ii_w_options(field)))))
+    w3 = SubiacoParams.case_iii_w_options(field)
+    if w3:
+        params.append(SubiacoParams.case_iii(field,
+                                             data.draw(st.sampled_from(w3))))
+    for p in params:
+        f, g = subiaco_pair(p)
+        assert list(subiaco_fs(p, s).entries) == \
+            oracle_blend(field, f, g, p.e, s)
+    if m % 2 == 0:
+        big = GF(2 * m)
+        beta = data.draw(st.sampled_from(
+            [b for b in unit_circle(big) if b.bits != 1]))
+        p = AdelaideParams(beta, embed_subfield(field, big))
+        f, g = adelaide_pair(p)
+        assert list(adelaide_fs(p, s).entries) == \
+            oracle_blend(field, f, g, p.e, s)
 
 
 def test_case_iii_w_options_frozen():
