@@ -14,9 +14,10 @@ polynomial (o-polynomial) of the projective plane PG(2, 2^m).
 
 extract_h_mu recovers H and mu from a bivariate table: boolfn.line_forms
 reads the GF(2) functional of every line and verifies it on every point,
-and the trace-dual basis turns each functional into the field element it
-pairs with, so a successful return is a proof that the table is in the
-class described above.
+and the field's dual table (the inverse of the trace pairing table that
+gf2 owns) turns each functional into the field element it pairs with, so
+a successful return is a proof that the table is in the class described
+above.
 
 is_opolynomial tests the 2-to-1 property for every beta != 0 on whole
 tables: with G in discrete-log order, Gl[j] = G(g^j), the values
@@ -240,8 +241,8 @@ def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
         z = bad - 1
         raise NotClassHError(
             z, f"the slope-0x{z:x} restriction is not linear")
-    # tr(c x) has GF(2) functional a exactly when c = sum_{j in a} dual[j]
-    coords = linear_table(small.dual_basis_bits())[func]
+    # tr(c x) has GF(2) functional a exactly when c = dual_table[a]
+    coords = small.dual_table()[func]
     return (MappingTable(small, coords[1:]),
             FieldElement(int(coords[0]), small))
 
@@ -339,8 +340,8 @@ def _project_entry(emb: Embedding, val: FieldElement) -> int:
     return emb.project(val).bits
 
 
-def closed_form_g(b: FieldElement, basis: BasisPair, emb: Embedding,
-                  a: FieldElement | None = None) -> MappingTable:
+def closed_form_g(b: FieldElement, basis: BasisPair,
+                  emb: Embedding) -> MappingTable:
     """G for the s=3 binomial family over an arbitrary basis (u, v),
     evaluated from the expanded algebraic expression:
 
@@ -349,7 +350,7 @@ def closed_form_g(b: FieldElement, basis: BasisPair, emb: Embedding,
         K = b u^2 (u^(2(2^m-1)) + v^(2(2^m-1))),
         c = (a u^(2^m+1))^(1/2) + tr(b u^(2^m) v^(2(2^m-1))),
 
-    with tr the relative trace onto GF(2^m)."""
+    with a = b^(2^m+1) and tr the relative trace onto GF(2^m)."""
     big = b.field
     if basis.field != big or emb.big != big:
         raise ValueError("b, basis and embedding must share a field")
@@ -359,12 +360,7 @@ def closed_form_g(b: FieldElement, basis: BasisPair, emb: Embedding,
     m = n // 2
     if b.bits == 0:
         raise ValueError("b must be nonzero")
-    a_expected = b ** ((1 << m) + 1)
-    if a is None:
-        a = a_expected
-    elif a != a_expected:
-        raise ValueError(
-            f"a must equal b^(2^m+1) = 0x{a_expected.bits:x}")
+    a = b ** ((1 << m) + 1)
     u, v = basis.u, basis.v
     qm = 1 << m
     t_lin = (u.frob(m) * v).rel_trace(m)

@@ -9,9 +9,11 @@ truth table is one gather per term through the field's exp/log and trace
 tables.
 
 The Walsh transform runs as an in-place numpy butterfly in Theta(n 2^n)
-word ops and is then reindexed through the trace Gram matrix (a
-gf2.linear_table) so that index w carries the field pairing tr(w x), not
-the coordinate dot product.  Spectra are exact 64-bit integers.
+word ops and is then reindexed through the field's pairing table
+(FieldSpec.pairing_table, owned by gf2) so that index w carries the field
+pairing tr(w x), not the coordinate dot product.  Spectra are exact
+64-bit integers.  The algebraic degree is the largest popcount among
+the nonzero ANF coefficients, one np.bitwise_count over the table.
 
 line_forms, the one line-restriction kernel, checks f on all lines at once;
 the subfield-coset test here and the slope-map extraction in bivariate
@@ -226,16 +228,6 @@ def _xor_butterfly(bits: np.ndarray) -> np.ndarray:
     return a.reshape(size)
 
 
-def _pairing_permutation(field: FieldSpec) -> np.ndarray:
-    """perm[w] = bitmask of the Gram-matrix image M w, so that the
-    coordinate pairing (M w).x equals the field pairing tr(w x)."""
-    key = "walsh_perm"
-    if key not in field._derived:
-        # M is symmetric, so its rows are also the images of the basis
-        field._derived[key] = linear_table(field.gram_rows())
-    return field._derived[key]
-
-
 @dataclass(frozen=True)
 class WalshSpectrum:
     """Exact Walsh coefficients, index w = bitmask of w."""
@@ -253,7 +245,7 @@ class WalshSpectrum:
         return int((self.values.astype(np.int64) ** 2).sum())
 
     def to_json(self) -> list:
-        return [int(v) for v in self.values]
+        return self.values.tolist()
 
 
 def walsh_spectrum(tt: TruthTable, field: FieldSpec | None = None
@@ -265,7 +257,7 @@ def walsh_spectrum(tt: TruthTable, field: FieldSpec | None = None
     if field is not None:
         if field.degree != tt.n:
             raise ValueError("field degree does not match table size")
-        flat = flat[_pairing_permutation(field)]
+        flat = flat[field.pairing_table()]
     if flat[0] != (1 << tt.n) - 2 * tt.weight():
         raise AssertionError("transform identity at w=0 failed")
     return WalshSpectrum(tt.n, flat)
@@ -286,11 +278,7 @@ def anf(tt: TruthTable) -> np.ndarray:
 
 def anf_degree(tt: TruthTable) -> int:
     """Algebraic degree; 0 for both constants."""
-    coeffs = anf(tt)
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        return 0
-    return max(int(u).bit_count() for u in nz)
+    return int(np.bitwise_count(np.flatnonzero(anf(tt))).max(initial=0))
 
 
 def line_forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,

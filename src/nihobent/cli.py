@@ -160,6 +160,9 @@ def _cmd_correspond(args) -> dict:
 
 
 def _opoly_table(args) -> tuple[MappingTable, dict]:
+    needed = "file" if args.source == "file" else "m"
+    if getattr(args, needed) is None:
+        raise ValueError(f"{args.source} source needs --{needed}")
     if args.source == "subiaco":
         field = _field(args.m, args.modulus)
         check_opoly_degree(args.m)

@@ -23,6 +23,12 @@ pow, inv and sqrt index it in O(1).  The pair takes 2^(k+4) bytes, 16 MiB
 at the degree cap k = 20.  FieldSpec is immutable after construction and
 every derived table is a pure function of it, so instances can be shared
 freely across threads.
+
+The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
+Gram matrix M on the polynomial basis (a Hankel matrix of the traces of
+X^l), pairing_table the linear_table of w -> M w, and dual_table its
+inverse, whose basis images are the trace-dual basis.  The Walsh reindex
+in boolfn and the H/mu extraction in bivariate read these tables.
 """
 
 from __future__ import annotations
@@ -319,44 +325,47 @@ class FieldSpec:
         return self._derived[key]
 
     def gram_rows(self) -> list[int]:
-        """Row bitmasks of the trace Gram matrix M[i][j] = tr(X^i * X^j)."""
+        """Row bitmasks of the trace Gram matrix M[i][j] = tr(X^i * X^j),
+        a Hankel matrix: row i is bits i..i+k-1 of t = sum_l tr(X^l) 2^l,
+        where X^l (l <= 2k - 2) is the residue of the monomial 1 << l."""
         if "gram" not in self._derived:
             k = self.degree
-            rows = []
-            for i in range(k):
-                row = 0
-                for j in range(k):
-                    if self.trace_bits(self.mul_bits(1 << i, 1 << j)):
-                        row |= 1 << j
-                rows.append(row)
-            self._derived["gram"] = rows
+            t = sum(self.trace_bits(pmod(1 << l, self.modulus)) << l
+                    for l in range(2 * k - 1))
+            self._derived["gram"] = [t >> i & ((1 << k) - 1)
+                                     for i in range(k)]
         return self._derived["gram"]
+
+    def pairing_table(self) -> np.ndarray:
+        """Table of w -> M w for the trace Gram matrix M: the coordinate
+        dot product (M w).x equals the field pairing tr(w x).  M is
+        symmetric, so its rows are also the images of the basis."""
+        if "pairing" not in self._derived:
+            self._derived["pairing"] = linear_table(self.gram_rows())
+        return self._derived["pairing"]
+
+    def dual_table(self) -> np.ndarray:
+        """The inverse of pairing_table: entry a is the c with x -> tr(c x)
+        of GF(2) functional a, the XOR of dual[j] over the set bits j of
+        a.  The dual basis is checked on every basis pair first."""
+        if "dual" not in self._derived:
+            k = self.degree
+            pairing = self.pairing_table()
+            if np.bincount(pairing, minlength=self.order).max() != 1:
+                raise AssertionError("trace form is non-degenerate")
+            inverse = np.empty_like(pairing)
+            inverse[pairing] = np.arange(self.order)
+            for j, d in enumerate(inverse[1 << np.arange(k)].tolist()):
+                for i in range(k):
+                    if self.trace_bits(self.mul_bits(1 << i, d)) != (i == j):
+                        raise AssertionError("dual basis verification failed")
+            self._derived["dual"] = inverse
+        return self._derived["dual"]
 
     def dual_basis_bits(self) -> list[int]:
         """The trace-dual basis of 1, X, ..., X^(k-1): tr(X^i * dual[j])
-        is 1 iff i == j.  Found by inverting the trace Gram matrix."""
-        if "dual" not in self._derived:
-            k = self.degree
-            rows = list(self.gram_rows())
-            inv = [1 << i for i in range(k)]
-            for col in range(k):
-                piv = next((r for r in range(col, k) if rows[r] >> col & 1),
-                           None)
-                if piv is None:
-                    raise AssertionError("trace form is non-degenerate")
-                rows[col], rows[piv] = rows[piv], rows[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-                for r in range(k):
-                    if r != col and rows[r] >> col & 1:
-                        rows[r] ^= rows[col]
-                        inv[r] ^= inv[col]
-            for i in range(k):
-                for j in range(k):
-                    want = 1 if i == j else 0
-                    if self.trace_bits(self.mul_bits(1 << i, inv[j])) != want:
-                        raise AssertionError("dual basis verification failed")
-            self._derived["dual"] = inv
-        return self._derived["dual"]
+        is 1 iff i == j.  Read off the inverse pairing table."""
+        return self.dual_table()[1 << np.arange(self.degree)].tolist()
 
     def hex_names(self) -> np.ndarray:
         """Read-only object array of the names "0x..." of all elements in
@@ -545,21 +554,17 @@ class Embedding:
             raise ValueError(
                 f"GF(2^{small.degree}) does not embed in GF(2^{big.degree})")
         r = small.degree
-        # the small modulus is irreducible of degree r, so all its roots
-        # lie in GF(2^r); the subfield is sorted, so the first root found
-        # is the smallest one in the big field
-        root = None
-        for cand in big.subfield_bits(r):
-            acc = 0
-            for i in range(small.modulus.bit_length() - 1, -1, -1):
-                acc = big.mul_bits(acc, cand)
-                if small.modulus >> i & 1:
-                    acc ^= 1
-            if acc == 0:
-                root = cand
-                break
-        if root is None:
+        # p, the small modulus, is irreducible of degree r, so its roots
+        # lie in GF(2^r): p(c) = XOR of exp[i log c] over the set bits i
+        # of p, and the first zero in the sorted subfield is the smallest
+        cands = np.array(big.subfield_bits(r)[1:])
+        terms = [i for i in range(r + 1) if small.modulus >> i & 1]
+        values = np.bitwise_xor.reduce(big.exp_table[
+            np.multiply.outer(terms, big.log_table[cands]) % big.mult_order])
+        roots = np.flatnonzero(values == 0)
+        if roots.size == 0:
             raise AssertionError("the small modulus splits in the big field")
+        root = int(cands[roots[0]])
         powers = [1]
         for _ in range(r - 1):
             powers.append(big.mul_bits(powers[-1], root))
@@ -575,7 +580,7 @@ class Embedding:
         self.small = small
         self.big = big
         self.table = table
-        self._section = {v: x for x, v in enumerate(table)}
+        self._section = dict(zip(table, range(small.order)))
 
     def __call__(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -617,8 +622,7 @@ def unit_circle(field: FieldSpec) -> list[FieldElement]:
     n = field.degree
     if n % 2:
         raise ValueError("the unit circle needs even degree n = 2m")
-    m = n // 2
-    c = (1 << m) + 1
+    c = (1 << (n // 2)) + 1
     step = field.mult_order // c
     # the powers h^i, i < c, of h = g^step
     bits = field.exp_table[::step]
@@ -662,10 +666,13 @@ def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:
             i = int(arg)
         except ValueError:
             raise ValueError(f"bad general index {arg!r}") from None
-        circle = [x for x in unit_circle(field) if x.bits != 1]
+        # the circle is the powers of g^((2^n - 1)/(2^m + 1)), and 1 is
+        # its smallest bitmask
+        circle = np.sort(field.exp_table[::field.mult_order
+                                         // ((1 << m) + 1)])[1:]
         if not 0 <= i < len(circle):
             raise ValueError(f"general index must be in 0..{len(circle)-1}")
-        return circle[i]
+        u = int(circle[i])
     else:
         raise ValueError(f"unknown unit-circle selector {selector!r}")
     el = FieldElement(u, field)

@@ -37,7 +37,7 @@ import numpy as np
 from .bivariate import (BasisPair, InternalCheckError, MappingTable,
                         extract_h_mu, g_from_h, to_bivariate)
 from .gf2 import (GF, Embedding, FieldElement, FieldSpec, embed_subfield,
-                  linear_table, unit_circle, unit_circle_element)
+                  linear_table, unit_circle_element)
 from .niho import FamilySpec, build_bent
 
 __all__ = [
@@ -121,9 +121,7 @@ class SubiacoParams:
     def case_ii_w_options(field: FieldSpec) -> list:
         """Both roots of w^2 + w + 1 in GF(2^m), bitmask order: the
         preimage of 1 under the GF(2)-linear map x -> x^2 + x."""
-        moved = linear_table([field.frob_bits(1 << i) ^ (1 << i)
-                              for i in range(field.degree)])
-        opts = np.flatnonzero(moved == 1).tolist()
+        opts = np.flatnonzero(_square_plus_x(field) == 1).tolist()
         if len(opts) != 2:
             raise ValueError(
                 f"GF(2^{field.degree}) has no cube roots of unity")
@@ -131,13 +129,20 @@ class SubiacoParams:
 
     @staticmethod
     def case_iii_w_options(field: FieldSpec) -> list:
-        """All valid case-3 parameters w, bitmask order."""
-        out = []
-        for x in range(1, field.order):
-            w = field.el(x)
-            if (w * w + w + 1).bits and w.inv().trace() == 1:
-                out.append(w)
-        return out
+        """All valid case-3 parameters w, bitmask order: one mask over
+        the field for w != 0, w^2 + w != 1 and tr(1/w) = 1."""
+        # inv[0] = 0 has trace 0, which leaves w = 0 out
+        inv = np.zeros(field.order, dtype=np.int64)
+        inv[1:] = field.exp_table[-field.log_table[1:] % field.mult_order]
+        tr = field.subfield_trace_table(field.degree)
+        ok = (_square_plus_x(field) != 1) & (tr[inv] == 1)
+        return [field.el(x) for x in np.flatnonzero(ok).tolist()]
+
+
+def _square_plus_x(field: FieldSpec) -> np.ndarray:
+    """Table of the GF(2)-linear map x -> x^2 + x."""
+    return linear_table([field.frob_bits(1 << i) ^ (1 << i)
+                         for i in range(field.degree)])
 
 
 def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
@@ -420,8 +425,8 @@ def _verified(what: str, bent: str, b_or_one: FieldElement,
                           extracted=extracted, **fields)
 
 
-def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
-                       small: FieldSpec | None = None) -> Correspondence:
+def correspond_subiaco(b: FieldElement,
+                       u: FieldElement | None = None) -> Correspondence:
     """Match the s=3 binomial bent function for coefficient b against its
     Subiaco catalog member; the branch and catalog case depend on
     m mod 4.  For m = 0 (mod 4) only b = 1 is supported."""
@@ -432,8 +437,7 @@ def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
     m = n // 2
     if b.bits == 0:
         raise ValueError("b must be nonzero")
-    if small is None:
-        small = GF(m)
+    small = GF(m)
     emb = embed_subfield(small, big)
     a = b ** ((1 << m) + 1)
     sqa = a.sqrt()
@@ -510,8 +514,7 @@ def correspond_subiaco(b: FieldElement, u: FieldElement | None = None,
                      retried=tuple(retried))
 
 
-def correspond_adelaide(beta: FieldElement,
-                        small: FieldSpec | None = None) -> Correspondence:
+def correspond_adelaide(beta: FieldElement) -> Correspondence:
     """Match the s=1/6 binomial bent function (b = a = 1) against the
     Adelaide catalog member f_1 for u = beta^2."""
     big = beta.field
@@ -519,8 +522,7 @@ def correspond_adelaide(beta: FieldElement,
     if n % 2 or (n // 2) % 2:
         raise ValueError("Adelaide needs even m")
     m = n // 2
-    if small is None:
-        small = GF(m)
+    small = GF(m)
     emb = embed_subfield(small, big)
     params = AdelaideParams(beta, emb)
     member = adelaide_f1(params)

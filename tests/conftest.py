@@ -286,10 +286,36 @@ def oracle_trace_table(field, r):
     return tab
 
 
+def oracle_gram_rows(field):
+    """Row bitmasks of M[i][j] = tr(X^i X^j), one schoolbook product and
+    trace per entry."""
+    k, mod = field.degree, field.modulus
+    return [sum(oracle_trace(oracle_mul(1 << i, 1 << j, mod, k), mod, k)
+                << j for j in range(k)) for i in range(k)]
+
+
+def oracle_dual_basis(field):
+    """The trace-dual basis of 1, X, ..., X^(k-1) by Gaussian elimination
+    on the schoolbook Gram matrix: dual[j] is row j of the inverse, which
+    is symmetric like the Gram matrix."""
+    k = field.degree
+    rows = oracle_gram_rows(field)
+    inv = [1 << i for i in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if rows[r] >> col & 1)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        for r in range(k):
+            if r != col and rows[r] >> col & 1:
+                rows[r] ^= rows[col]
+                inv[r] ^= inv[col]
+    return inv
+
+
 def oracle_pairing(field):
     """perm[w] = bitmask of M w for the trace Gram matrix M, by a parity
-    per row and point."""
-    rows = field.gram_rows()
+    per row and point; M comes from schoolbook products and traces."""
+    rows = oracle_gram_rows(field)
     perm = []
     for w in range(field.order):
         img = 0
@@ -353,7 +379,7 @@ def oracle_extract_h_mu(biv):
     small = biv.field
     m, q = small.degree, small.order
     vals = biv.values
-    dual = small.dual_basis_bits()
+    dual = oracle_dual_basis(small)
     mul, tr = small.mul_bits, small.trace_bits
     mu = 0
     for j in range(m):

@@ -355,10 +355,6 @@ def test_closed_form_general_basis():
     biv = to_bivariate(tt, basis, emb)
     g = g_from_h(*extract_h_mu(biv))
     assert closed_form_g(b, basis, emb) == g
-    # explicit a consistent with b is accepted, anything else rejected
-    assert closed_form_g(b, basis, emb, a=b ** 5) == g
-    with pytest.raises(ValueError):
-        closed_form_g(b, basis, emb, a=F.one)
 
 
 @pytest.mark.parametrize("m", [2, 3])

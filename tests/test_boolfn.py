@@ -12,10 +12,9 @@ from conftest import (bent_or_mutated, oracle_anf, oracle_coset_affine,
                       oracle_tt_to_text, oracle_walsh_field,
                       oracle_walsh_plain, random_table)
 from nihobent import GF, FamilySpec, build_bent
-from nihobent.boolfn import (TraceForm, TraceTerm, TruthTable,
-                             _pairing_permutation, anf, anf_degree,
-                             has_affine_coset_restrictions, is_bent,
-                             line_forms, walsh_spectrum)
+from nihobent.boolfn import (TraceForm, TraceTerm, TruthTable, anf,
+                             anf_degree, has_affine_coset_restrictions,
+                             is_bent, line_forms, walsh_spectrum)
 
 GF16 = GF(4)
 
@@ -191,7 +190,7 @@ def test_coset_affinity_positive_and_negative():
 @pytest.mark.parametrize("k", range(1, 17))
 def test_pairing_permutation_matches_oracle(k):
     F = GF(k)
-    assert _pairing_permutation(F).tolist() == oracle_pairing(F)
+    assert F.pairing_table().tolist() == oracle_pairing(F)
 
 
 def test_line_forms_constants_functionals_and_first_bad_row():

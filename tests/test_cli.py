@@ -115,6 +115,20 @@ def test_opoly_sources(tmp_path, capsys):
     assert doc["verdicts"]["is_permutation"] is True
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--source", "subiaco", "--case", "1"], "--m"),
+    (["--source", "frobenius", "--exponent", "1"], "--m"),
+    (["--source", "adelaide", "--beta", "0x8"], "--m"),
+    (["--source", "file"], "--file"),
+])
+def test_opoly_missing_input_exits_2(argv, flag, capsys):
+    assert main(["opoly", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs {flag}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
     # 19 must not be read as 0x19 = 25; numbers and non-arrays exit 2
     numbers = [x % 20 for x in range(32)]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (oracle_embedding_table, oracle_exp_log,
-                      oracle_irreducible, oracle_mul, oracle_mul_array,
-                      oracle_pow, oracle_rel_trace, oracle_subfield_bits,
-                      oracle_trace, oracle_trace_table)
+from conftest import (oracle_dual_basis, oracle_embedding_table,
+                      oracle_exp_log, oracle_gram_rows, oracle_irreducible,
+                      oracle_mul, oracle_mul_array, oracle_pow,
+                      oracle_rel_trace, oracle_subfield_bits, oracle_trace,
+                      oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, default_modulus,
                       embed_subfield, linear_table, unit_circle,
                       unit_circle_element)
@@ -142,9 +143,11 @@ def test_generator_has_full_order():
 
 
 def test_dual_basis_property():
-    for k in (2, 3, 4, 6):
+    for k in range(1, 21):
         F = GF(k)
+        assert F.gram_rows() == oracle_gram_rows(F)
         dual = F.dual_basis_bits()
+        assert dual == oracle_dual_basis(F)
         for i in range(k):
             for j in range(k):
                 t = F.trace_bits(F.mul_bits(1 << i, dual[j]))
@@ -296,6 +299,12 @@ def test_unit_circle_element_selectors():
         unit_circle_element(F64, "fifth:1")
     g = unit_circle_element(F64, "general:2")
     assert (g ** ((1 << 3) + 1)).bits == 1
+    # general:I is the I-th element of the circle with 1 removed
+    rest = [x for x in unit_circle(F64) if x.bits != 1]
+    assert [unit_circle_element(F64, f"general:{i}")
+            for i in range(len(rest))] == rest
+    with pytest.raises(ValueError):
+        unit_circle_element(F64, f"general:{len(rest)}")
     with pytest.raises(ValueError):
         unit_circle_element(GF16, "nonsense")
 

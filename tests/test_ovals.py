@@ -74,6 +74,18 @@ def test_case_ii_w_options_match_scan():
             assert SubiacoParams.case_ii(field).w == opts[0]
 
 
+def test_case_iii_w_options_match_scan():
+    # the conditions tested one point at a time in FieldElement arithmetic
+    for m in range(1, 13):
+        field = GF(m)
+        scan = []
+        for x in range(1, field.order):
+            w = field.el(x)
+            if (w * w + w + 1).bits and w.inv().trace() == 1:
+                scan.append(w)
+        assert SubiacoParams.case_iii_w_options(field) == scan
+
+
 def test_case_ii_rejects_non_root():
     field = GF(6)
     for bits in (0x0, 0x1, 0x2):
