@@ -274,7 +274,7 @@ def is_two_to_one(t: MappingTable) -> bool:
 
 
 # beta rows per block times q stays near this many elements, which keeps
-# the block's values, offsets and fiber counts to a few hundred KiB
+# the block's values, offset G rows and fiber counts to a few hundred KiB
 _OPOLY_BLOCK = 1 << 14
 
 # the test does O(q^2) work, about 20 s at m = 16 on a 2-core Xeon; larger
@@ -303,16 +303,18 @@ def is_opolynomial(g: MappingTable) -> bool:
     g_log = entries[exp]
     windows = sliding_window_view(np.concatenate([exp, exp[:-1]]), q - 1)
     rows = max(1, min(q - 1, _OPOLY_BLOCK // q))
-    offsets = np.arange(rows)[:, None] * q
-    block = np.empty((rows, q), dtype=entries.dtype)
     # row b (beta = g^b) is G(0), then G(g^j) + g^(b + j) for j < q - 1;
-    # offsetting row r by r q lets one bincount count every row's fibers
+    # offsetting row r by r q lets one bincount count every row's fibers.
+    # Both terms are below q, so (a ^ b) + r q = a ^ (b | r q): the offset
+    # rides in G's rows, built once, and in the constant column
+    offsets = np.arange(rows)[:, None] * q
+    g_rows = g_log | offsets
+    block = np.empty((rows, q), dtype=entries.dtype)
+    block[:, :1] = entries[0] | offsets
     for start in range(0, q - 1, rows):
         win = windows[start:start + rows]
         vals = block[:len(win)]
-        vals[:, 0] = entries[0]
-        np.bitwise_xor(win, g_log, out=vals[:, 1:])
-        vals += offsets[:len(win)]
+        np.bitwise_xor(win, g_rows[:len(win)], out=vals[:, 1:])
         if not _fibers_all_two(vals, vals.size):
             return False
     if not is_permutation(g):

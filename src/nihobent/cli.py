@@ -17,7 +17,9 @@ stdout; wall-clock timing goes to stderr.  Field elements are read and
 written as hex bitmasks.
 
 Exit codes: 0 success; 1 a verified claim failed; 2 bad usage or a
-violated precondition; 3 an internal cross-check mismatch (a bug).
+violated precondition; 3 an internal cross-check mismatch (a bug); 141
+stdout was closed before the output was written (128 + SIGPIPE, as a
+shell reports it).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -317,7 +320,15 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     print(f"timing_ms={int((time.perf_counter() - started) * 1000)}",
           file=sys.stderr)
     return 0

@@ -324,6 +324,16 @@ class FieldSpec:
                 [self._frob_sum(1 << i, 1, r) for i in range(self.degree)])
         return self._derived[key]
 
+    def sqrt_table(self) -> np.ndarray:
+        """Read-only table of x -> x^(1/2), GF(2)-linear like every
+        power of the Frobenius map."""
+        if "sqrt" not in self._derived:
+            tab = linear_table([self.sqrt_bits(1 << i)
+                                for i in range(self.degree)])
+            tab.flags.writeable = False
+            self._derived["sqrt"] = tab
+        return self._derived["sqrt"]
+
     def gram_rows(self) -> list[int]:
         """Row bitmasks of the trace Gram matrix M[i][j] = tr(X^i * X^j),
         a Hankel matrix: row i is bits i..i+k-1 of t = sum_l tr(X^l) 2^l,

@@ -9,10 +9,12 @@ pair (f, g) and the one-parameter blend
 
 whose denominator never vanishes because tr(e) = 1; each term is
 GF(2)-linear in a table (f, g or x^(1/2)), so f_s is a composition of
-whole-table maps with no per-point loop.  The Adelaide catalog
-(m even) is defined through relative traces of a unit-circle element beta
-of GF(2^n), so it is evaluated inside the big field on embedded arguments
-and projected back.
+whole-table maps with no per-point loop.  The case-3 pair and explicit
+form are whole-table too (table products through exp/log, an inverse
+that refuses zero entries); cases 1 and 2 are evaluated point by point.
+The Adelaide catalog (m even) is defined through relative traces of a
+unit-circle element beta of GF(2^n), so it is evaluated inside the big
+field on embedded arguments and projected back.
 
 correspond_subiaco / correspond_adelaide run the whole pipeline.  Each
 branch derives its parameters (s, c0, c1, the catalog case) and builds
@@ -145,11 +147,53 @@ def _square_plus_x(field: FieldSpec) -> np.ndarray:
                          for i in range(field.degree)])
 
 
+def _table_mul(field: FieldSpec, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two tables through exp/log; an entry is 0
+    wherever either factor is 0."""
+    log = field.log_table
+    out = field.exp_table[(log[a] + log[b]) % field.mult_order]
+    out[(a == 0) | (b == 0)] = 0
+    return out
+
+
+def _table_inv(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Entrywise inverse.  A zero entry raises: exp[-log[0]] would be the
+    generator, not an error."""
+    if not a.all():
+        raise InternalCheckError(
+            f"division by zero at x = 0x{np.flatnonzero(a == 0)[0]:x}")
+    return field.exp_table[-field.log_table[a] % field.mult_order]
+
+
+def _case_iii_powers(field: FieldSpec, w: FieldElement):
+    """Tables of x, x^2, x^3, x^4, x^(1/2) and 1 / (x^2 + w x + 1)^2.
+    The quadratic is irreducible (tr(1/w) = 1), so it never vanishes."""
+    x = np.arange(field.order)
+    x2 = frobenius_map(field, 1).array()
+    x4 = frobenius_map(field, 2).array()
+    den = x2 ^ field.mul_table(w.bits) ^ 1
+    return (x, x2, _table_mul(field, x2, x), x4, field.sqrt_table(),
+            _table_inv(field, x2[den]))
+
+
 def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
     """The base pair (f, g) of the parameter set.  The denominators are
     irreducible quadratics over GF(2^m), so they never vanish."""
     field = p.field
     w = p.w
+    if p.case == 3:
+        x, x2, x3, x4, sx, inv_den2 = _case_iii_powers(field, w)
+        mul = field.mul_table
+        k = w * w + w ** 5 + w.sqrt()
+        f = _table_mul(field, mul((w * w).bits)[x4 ^ x]
+                       ^ mul((w * w * (1 + w + w * w)).bits)[x3 ^ x2],
+                       inv_den2) ^ sx
+        g = _table_mul(field, mul((w ** 4 / k).bits)[x4]
+                       ^ mul((w ** 3 * (1 + w * w + w ** 4) / k).bits)[x3]
+                       ^ mul((w ** 3 * (1 + w * w) / k).bits)[x],
+                       inv_den2) ^ mul((w.sqrt() / k).bits)[sx]
+        return MappingTable(field, f), MappingTable(field, g)
     fe, ge = [], []
     for xb in range(field.order):
         x = field.el(xb)
@@ -166,17 +210,6 @@ def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
                        + w * w * sx).bits)
             ge.append((w * x * (x * x + x + w * w) * den2
                        + w * w * sx).bits)
-        else:
-            den = x * x + w * x + 1
-            den2 = (den * den).inv()
-            k = w * w + w ** 5 + w.sqrt()
-            fe.append(((w * w * (x ** 4 + x)
-                        + w * w * (1 + w + w * w) * (x ** 3 + x * x))
-                       * den2 + sx).bits)
-            ge.append(((w ** 4 * x ** 4
-                        + w ** 3 * (1 + w * w + w ** 4) * x ** 3
-                        + w ** 3 * (1 + w * w) * x) * den2 / k
-                       + (w.sqrt() / k) * sx).bits)
     return MappingTable(field, fe), MappingTable(field, ge)
 
 
@@ -188,12 +221,10 @@ def _blend(field: FieldSpec, f: MappingTable, g: MappingTable,
     if a_div.bits == 0:
         raise InternalCheckError(
             "blend denominator vanished although tr(e) = 1")
-    sqrt_tab = linear_table([field.sqrt_bits(1 << i)
-                             for i in range(field.degree)])
     mul = field.mul_table
     return MappingTable(field, mul(a_div.inv().bits)[
         f.array() ^ mul((e * s).bits)[g.array()]
-        ^ mul(s.sqrt().bits)[sqrt_tab]])
+        ^ mul(s.sqrt().bits)[field.sqrt_table()]])
 
 
 def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
@@ -203,6 +234,21 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
     field = p.field
     s = _as_element(field, s)
     w, e = p.w, p.e
+    if p.case == 3:
+        x, x2, x3, x4, sx, inv_den2 = _case_iii_powers(field, w)
+        mul = field.mul_table
+        wsum = 1 + w + w * w
+        # w^2 ((1 + s w + w^2) x^4 + wsum^2 (s x^3 + x^2)
+        # + (s + w + s w^2) x) / wsum, with w^2 / wsum in each coefficient
+        c = w * w / wsum
+        num = (mul((c * (1 + s * w + w * w)).bits)[x4]
+               ^ mul((c * wsum * wsum * s).bits)[x3]
+               ^ mul((c * wsum * wsum).bits)[x2]
+               ^ mul((c * (s + w + s * w * w)).bits)[x])
+        root = s.sqrt() + (s + 1) / (w.sqrt() * wsum)
+        pref = (e + e * s + s.sqrt()).inv()
+        return MappingTable(field, mul(pref.bits)[
+            _table_mul(field, num, inv_den2) ^ mul(root.bits)[sx]])
     entries = []
     if p.case == 1:
         a_div = (1 + e * s + s.sqrt()).inv()
@@ -220,18 +266,6 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
                    + s * w * x) / (den * den)
             entries.append((a_div * (rat + (w * w + s + s.sqrt())
                                      * x.sqrt())).bits)
-    else:
-        pref = (e + e * s + s.sqrt()).inv()
-        wsum = 1 + w + w * w
-        for xb in range(field.order):
-            x = field.el(xb)
-            den = x * x + w * x + 1
-            rat = w * w * ((1 + s * w + w * w) * x ** 4
-                           + wsum * wsum * (s * x ** 3 + x * x)
-                           + (s + w + s * w * w) * x) \
-                / (wsum * den * den)
-            root = (s.sqrt() + (s + 1) / (w.sqrt() * wsum)) * x.sqrt()
-            entries.append((pref * (rat + root)).bits)
     return MappingTable(field, entries)
 
 

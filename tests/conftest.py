@@ -176,6 +176,44 @@ def oracle_blend(field, f, g, e, s):
             for x in range(field.order)]
 
 
+def oracle_subiaco3_pair(field, w):
+    """The Subiaco case-3 base pair (f, g) one point at a time with
+    FieldElement arithmetic; two lists of bitmasks."""
+    k = w * w + w ** 5 + w.sqrt()
+    fe, ge = [], []
+    for xb in range(field.order):
+        x = field.el(xb)
+        sx = x.sqrt()
+        den = x * x + w * x + 1
+        den2 = (den * den).inv()
+        fe.append(((w * w * (x ** 4 + x)
+                    + w * w * (1 + w + w * w) * (x ** 3 + x * x))
+                   * den2 + sx).bits)
+        ge.append(((w ** 4 * x ** 4
+                    + w ** 3 * (1 + w * w + w ** 4) * x ** 3
+                    + w ** 3 * (1 + w * w) * x) * den2 / k
+                   + (w.sqrt() / k) * sx).bits)
+    return fe, ge
+
+
+def oracle_subiaco3_explicit(field, w, e, s):
+    """The published case-3 explicit rational form at its own parameter
+    s, one point at a time with FieldElement arithmetic."""
+    pref = (e + e * s + s.sqrt()).inv()
+    wsum = 1 + w + w * w
+    entries = []
+    for xb in range(field.order):
+        x = field.el(xb)
+        den = x * x + w * x + 1
+        rat = w * w * ((1 + s * w + w * w) * x ** 4
+                       + wsum * wsum * (s * x ** 3 + x * x)
+                       + (s + w + s * w * w) * x) \
+            / (wsum * den * den)
+        root = (s.sqrt() + (s + 1) / (w.sqrt() * wsum)) * x.sqrt()
+        entries.append((pref * (rat + root)).bits)
+    return entries
+
+
 def oracle_frobenius(field, i):
     """z -> z^(2^i) by i schoolbook squarings of every z."""
     out = []

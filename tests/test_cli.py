@@ -332,3 +332,20 @@ def test_verdicts_are_python_bools(tmp_path, monkeypatch, capsys):
         == [True, True, False, True, None]
     assert [r["verdicts"].get("is_opoly") for r in reports] \
         == [True, False, False, True, None]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the read end is closed before the child starts, so its first write of
+    # the (more than 64 KiB) report fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nihobent", "opoly", "--source",
+             "frobenius", "--m", "12", "--exponent", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr

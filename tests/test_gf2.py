@@ -199,6 +199,16 @@ def test_table_kernels_match_oracles(k):
         assert F.subfield_trace_table(r).tolist() == oracle_trace_table(F, r)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 16, 20])
+def test_sqrt_table_squares_back(k):
+    # squaring every entry by schoolbook products gives every x back
+    F = GF(k)
+    tab = F.sqrt_table()
+    assert np.array_equal(oracle_mul_array(tab, tab, F.modulus, k),
+                          np.arange(F.order))
+    assert F.sqrt_table() is tab and not tab.flags.writeable
+
+
 def _check_large_tables(F):
     """The per-point oracles are too slow above degree 16: the exp/log
     pair is checked whole by vectorized schoolbook products, the derived

@@ -3,22 +3,24 @@
 import re
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (oracle_blend, oracle_frobenius, oracle_is_opoly,
-                      oracle_mul)
-from nihobent import (GF, AdelaideParams, FamilySpec, MappingTable,
-                      SubiacoParams, VerificationError, adelaide_f1,
-                      adelaide_fs, adelaide_pair, anf_degree, build_bent,
-                      correspond_adelaide, correspond_subiaco,
+                      oracle_mul, oracle_subiaco3_explicit,
+                      oracle_subiaco3_pair)
+from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
+                      MappingTable, SubiacoParams, VerificationError,
+                      adelaide_f1, adelaide_fs, adelaide_pair, anf_degree,
+                      build_bent, correspond_adelaide, correspond_subiaco,
                       default_modulus, embed_subfield, frobenius_map,
                       has_affine_coset_restrictions, is_bent,
                       is_opolynomial, is_permutation, opoly_normalize,
                       subiaco_fs, subiaco_fs_explicit,
                       subiaco_pair, unit_circle, unit_circle_element)
 from nihobent.gf2 import is_irreducible
-from nihobent.ovals import _verify_affine_match
+from nihobent.ovals import _table_inv, _table_mul, _verify_affine_match
 
 GF4 = GF(2)
 GF8 = GF(3)
@@ -164,6 +166,43 @@ def test_blend_equals_shifted_explicit_case_iii():
     for sbits in range(16):
         s = GF16.el(sbits)
         assert subiaco_fs_explicit(p, s) == subiaco_fs(p, s + GF16.one)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_case_iii_tables_match_scalar_oracles(data):
+    # m = 2 is left out: GF(4) has no case-3 parameter w
+    m = data.draw(st.sampled_from([3, 4, 5, 6, 7, 8]))
+    field = GF(m)
+    w = data.draw(st.sampled_from(SubiacoParams.case_iii_w_options(field)))
+    s = field.el(data.draw(st.integers(0, field.order - 1)))
+    p = SubiacoParams.case_iii(field, w)
+    f, g = subiaco_pair(p)
+    fe, ge = oracle_subiaco3_pair(field, w)
+    assert list(f.entries) == fe and list(g.entries) == ge
+    assert list(subiaco_fs_explicit(p, s).entries) == \
+        oracle_subiaco3_explicit(field, w, p.e, s)
+    assert list(subiaco_fs(p, s).entries) == oracle_blend(
+        field, MappingTable(field, fe), MappingTable(field, ge), p.e, s)
+
+
+def test_table_product_matches_schoolbook():
+    # every pair of GF(2^4) elements, zeros on either side included
+    field = GF16
+    a, b = np.divmod(np.arange(256), 16)
+    assert _table_mul(field, a, b).tolist() == \
+        [oracle_mul(x, y, field.modulus, 4) for x, y in zip(a, b)]
+
+
+def test_table_inverse_rejects_zero():
+    field = GF(5)
+    inv = _table_inv(field, np.arange(1, field.order))
+    assert [oracle_mul(x, y, field.modulus, 5)
+            for x, y in enumerate(inv.tolist(), 1)] == [1] * 31
+    # exp[-log[0]] would read the generator instead of failing
+    with pytest.raises(InternalCheckError, match="division by zero at "
+                       "x = 0x2"):
+        _table_inv(field, np.array([3, 7, 0, 5]))
 
 
 def test_case_relations_at_w_one():
