@@ -53,8 +53,8 @@ def report_catalog(m):
         tables = [f, g] + blends
         ok = all(is_opolynomial(t) for t in tables)
         for t in tables:
-            if t.entries[0] != t.entries[1]:
-                normalized.add(opoly_normalize(t).entries)
+            if t.array()[0] != t.array()[1]:
+                normalized.add(opoly_normalize(t).array().tobytes())
         print(f"  {name:24} o-polynomials: "
               f"{'all ' + str(len(tables)) if ok else 'FAILED'}")
     print(f"  distinct normalized tables: {len(normalized)}")

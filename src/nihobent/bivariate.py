@@ -43,7 +43,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boolfn import TruthTable, line_forms
-from .gf2 import Embedding, FieldElement, FieldSpec, linear_table
+from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
+                  linear_table)
 
 __all__ = [
     "NotClassHError",
@@ -72,10 +73,6 @@ class NotClassHError(ValueError):
     def __init__(self, z: int | None, message: str):
         super().__init__(message)
         self.z = z
-
-
-class InternalCheckError(RuntimeError):
-    """A relation that is supposed to hold unconditionally failed."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +130,6 @@ class MappingTable:
         self.field = field
         self._array = arr
         self._entries = None
-
-    @classmethod
-    def from_function(cls, field: FieldSpec, fn) -> "MappingTable":
-        return cls(field, [fn(field.el(z)).bits for z in range(field.order)])
 
     @property
     def entries(self) -> tuple:

@@ -57,10 +57,6 @@ class TruthTable:
         self.n = n
         self.values = arr
 
-    @classmethod
-    def from_function(cls, n: int, fn) -> "TruthTable":
-        return cls(n, [fn(x) & 1 for x in range(1 << n)])
-
     def weight(self) -> int:
         return int(self.values.sum())
 
@@ -170,6 +166,9 @@ class TraceForm:
     def truth_table(self) -> TruthTable:
         field = self.field
         out = np.zeros(field.order, dtype=np.uint8)
+        # c x^e at x = g^j is g^(log c + e j), one fused gather over the
+        # nonzero x; table_mul(c, table_pow(x, e)) would hold two more
+        # 2^n-entry int64 arrays, 16 MiB more at n = 20
         logs = field.log_table[1:]
         for t in self.terms:
             # entries at non-subfield points are arbitrary bitmasks;
@@ -181,7 +180,7 @@ class TraceForm:
                 # x^0 = 1 everywhere, including x = 0
                 out ^= np.uint8(tr[t.coeff.bits])
                 continue
-            logc = field._log[t.coeff.bits]
+            logc = field.log_table[t.coeff.bits]
             vals = tr[field.exp_table[(logs * t.exponent + logc)
                                       % field.mult_order]]
             if vals.max() > 1:
@@ -315,9 +314,8 @@ def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
         raise ValueError("field degree does not match table size")
     m = n // 2
     emb = embed_subfield(GF(m), field)
-    # g^k emb(X^i) = exp[(k + log emb(X^i)) mod (q - 1)]
-    logs = field.log_table[[emb.table[1 << i] for i in range(m)]]
-    ks = np.arange((1 << m) + 1)
-    points = linear_table(
-        field.exp_table[(logs[:, None] + ks) % field.mult_order])
+    # row i lists g^k emb(X^i) for k = 0..2^m
+    lift = np.array([emb.table[1 << i] for i in range(m)])
+    powers = field.table_pow(field.generator, np.arange((1 << m) + 1))
+    points = linear_table(field.table_mul(lift[:, None], powers))
     return line_forms(tt.values[points.T])[2] is None

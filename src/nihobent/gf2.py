@@ -19,10 +19,12 @@ arrays by one kernel, linear_table, from their k basis images (computed
 with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
 operations.  The exp/log pair is doubled the same way through the
 multiply-by-g^(2^i) tables at construction, for every degree; scalar mul,
-pow, inv and sqrt index it in O(1).  The pair takes 2^(k+4) bytes, 16 MiB
-at the degree cap k = 20.  FieldSpec is immutable after construction and
-every derived table is a pure function of it, so instances can be shared
-freely across threads.
+pow, inv and sqrt index it in O(1), and table_mul, table_inv and
+table_pow apply the same arithmetic entrywise to bitmask arrays, with
+the zero entry (log[0] = -1) masked for their callers.  The pair takes
+2^(k+4) bytes, 16 MiB at the degree cap k = 20.  FieldSpec is immutable
+after construction and every derived table is a pure function of it, so
+instances can be shared freely across threads.
 
 The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
 Gram matrix M on the polynomial basis (a Hankel matrix of the traces of
@@ -37,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "FieldMismatchError",
+    "InternalCheckError",
     "FieldSpec",
     "FieldElement",
     "Embedding",
@@ -56,6 +59,10 @@ _DEGREE_MAX = 20
 
 class FieldMismatchError(ValueError):
     """An operation tried to combine elements of two different fields."""
+
+
+class InternalCheckError(RuntimeError):
+    """A relation that is supposed to hold unconditionally failed."""
 
 
 def clmul(a: int, b: int) -> int:
@@ -139,8 +146,9 @@ class FieldSpec:
     compare equal iff degree, modulus and generator all agree.
 
     exp_table[j] = g^j (j < 2^k - 1) and log_table[x] (log_table[0] = -1)
-    are int64 numpy arrays for whole-table kernels; scalar operations
-    index the same tables through _exp and _log.
+    are int64 numpy arrays; table_mul, table_inv and table_pow are the
+    whole-table arithmetic on them, and scalar operations index the same
+    tables through _exp and _log.
     """
 
     __slots__ = ("degree", "modulus", "generator", "order", "mult_order",
@@ -240,6 +248,42 @@ class FieldSpec:
         """Table of x -> c x over the whole field (GF(2)-linear in x)."""
         return linear_table([self._mul_raw(c, 1 << i)
                              for i in range(self.degree)])
+
+    # -- whole-table arithmetic (bitmask arrays in, int64 arrays out) ------
+
+    def table_mul(self, a, b) -> np.ndarray:
+        """Entrywise product of two tables, or of a table and a scalar
+        bitmask, through exp/log; an entry is 0 wherever a factor is 0."""
+        a, b = np.asarray(a), np.asarray(b)
+        idx = self.log_table[a] + self.log_table[b]
+        idx %= self.mult_order
+        out = self.exp_table[idx]
+        out *= (a != 0) & (b != 0)
+        return out
+
+    def table_inv(self, a) -> np.ndarray:
+        """Entrywise inverse.  A zero entry raises: exp[-log[0]] would be
+        the generator, not an error."""
+        a = np.asarray(a)
+        if not a.all():
+            raise InternalCheckError(
+                f"division by zero at x = 0x{np.flatnonzero(a == 0)[0]:x}")
+        return self.exp_table[-self.log_table[a] % self.mult_order]
+
+    def table_pow(self, a, e) -> np.ndarray:
+        """Entrywise a**e for e >= 0 (an int or an array), with 0**0 = 1
+        as in pow_bits."""
+        a, e = np.asarray(a), np.asarray(e)
+        if (e < 0).any():
+            raise ValueError("table_pow needs exponents e >= 0")
+        n = self.mult_order
+        idx = self.log_table[a] * (e % n)
+        idx %= n
+        out = self.exp_table[idx]
+        # the zero base: 0**e = 0, except 0**0 = 1
+        out *= a != 0
+        out += (a == 0) & (e == 0)
+        return out
 
     # -- int-level operations (bitmask in, bitmask out) -------------------
 
@@ -554,10 +598,13 @@ class Embedding:
 
     Multiplicativity is verified on all basis pairs at construction,
     which settles it for all pairs since both sides are bilinear; the
-    image is checked to be exactly the in_subfield set.
+    image is checked to be exactly the in_subfield set.  The section
+    (the inverse on the image) is the sorted image with its preimages,
+    searched with np.searchsorted by project, contains and
+    project_table alike.
     """
 
-    __slots__ = ("small", "big", "table", "_section")
+    __slots__ = ("small", "big", "table", "_image", "_preimage")
 
     def __init__(self, small: FieldSpec, big: FieldSpec):
         if big.degree % small.degree:
@@ -590,7 +637,10 @@ class Embedding:
         self.small = small
         self.big = big
         self.table = table
-        self._section = dict(zip(table, range(small.order)))
+        self._image = np.array(big.subfield_bits(r))
+        self._preimage = np.empty(small.order, dtype=np.int64)
+        self._preimage[np.searchsorted(self._image, table)] = \
+            np.arange(small.order)
 
     def __call__(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -599,17 +649,29 @@ class Embedding:
             x = x.bits
         return FieldElement(self.table[x], self.big)
 
+    def _locate(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of values in the sorted image, and which are hits."""
+        pos = np.searchsorted(self._image, values)
+        return pos, self._image.take(pos, mode="clip") == values
+
+    def project_table(self, values) -> np.ndarray:
+        """Preimages of an array of big-field bitmasks; a value outside
+        the image raises ValueError naming the first one."""
+        values = np.asarray(values)
+        pos, hit = self._locate(values)
+        if not hit.all():
+            raise ValueError(f"0x{values[~hit].flat[0]:x} is outside the "
+                             f"embedded subfield")
+        return self._preimage[pos]
+
     def project(self, y: FieldElement) -> FieldElement:
         """Preimage of a big-field element; errors if outside the image."""
         if y.field != self.big:
             raise FieldMismatchError("element is not in the big field")
-        bits = self._section.get(y.bits)
-        if bits is None:
-            raise ValueError(f"0x{y.bits:x} is outside the embedded subfield")
-        return FieldElement(bits, self.small)
+        return FieldElement(int(self.project_table(y.bits)), self.small)
 
     def contains(self, y: FieldElement) -> bool:
-        return y.field == self.big and y.bits in self._section
+        return y.field == self.big and bool(self._locate(y.bits)[1])
 
 
 _EMBED_CACHE: dict = {}

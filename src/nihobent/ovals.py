@@ -10,11 +10,17 @@ pair (f, g) and the one-parameter blend
 whose denominator never vanishes because tr(e) = 1; each term is
 GF(2)-linear in a table (f, g or x^(1/2)), so f_s is a composition of
 whole-table maps with no per-point loop.  The case-3 pair and explicit
-form are whole-table too (table products through exp/log, an inverse
-that refuses zero entries); cases 1 and 2 are evaluated point by point.
+form are whole-table too (FieldSpec.table_mul, and table_inv, which
+refuses zero entries).  Cases 1 and 2 are still evaluated point by point
+in FieldElement arithmetic, for a measured reason, not a mathematical
+one: the benchmark runner keeps a record per completed item, so their
+faster port raised the survey benchmark's peak RSS by 7 to 15%, past its
+10% bound; they follow once that memory no longer grows with throughput.
 The Adelaide catalog (m even) is defined through relative traces of a
 unit-circle element beta of GF(2^n), so it is evaluated inside the big
-field on embedded arguments and projected back.
+field as whole-table expressions on the q embedded arguments (table_pow,
+table_mul, tr(z) = z + z^(2^m)) and projected back through the
+embedding's section.
 
 correspond_subiaco / correspond_adelaide run the whole pipeline.  Each
 branch derives its parameters (s, c0, c1, the catalog case) and builds
@@ -36,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import (BasisPair, InternalCheckError, MappingTable,
-                        extract_h_mu, g_from_h, to_bivariate)
-from .gf2 import (GF, Embedding, FieldElement, FieldSpec, embed_subfield,
-                  linear_table, unit_circle_element)
+from .bivariate import (BasisPair, MappingTable, extract_h_mu, g_from_h,
+                        to_bivariate)
+from .gf2 import (GF, Embedding, FieldElement, FieldSpec, InternalCheckError,
+                  embed_subfield, linear_table, unit_circle_element)
 from .niho import FamilySpec, build_bent
 
 __all__ = [
@@ -132,38 +138,17 @@ class SubiacoParams:
     @staticmethod
     def case_iii_w_options(field: FieldSpec) -> list:
         """All valid case-3 parameters w, bitmask order: one mask over
-        the field for w != 0, w^2 + w != 1 and tr(1/w) = 1."""
-        # inv[0] = 0 has trace 0, which leaves w = 0 out
-        inv = np.zeros(field.order, dtype=np.int64)
-        inv[1:] = field.exp_table[-field.log_table[1:] % field.mult_order]
+        the nonzero w for w^2 + w != 1 and tr(1/w) = 1."""
+        w = np.arange(1, field.order)
         tr = field.subfield_trace_table(field.degree)
-        ok = (_square_plus_x(field) != 1) & (tr[inv] == 1)
-        return [field.el(x) for x in np.flatnonzero(ok).tolist()]
+        ok = (_square_plus_x(field)[w] != 1) & (tr[field.table_inv(w)] == 1)
+        return [field.el(x) for x in w[ok].tolist()]
 
 
 def _square_plus_x(field: FieldSpec) -> np.ndarray:
     """Table of the GF(2)-linear map x -> x^2 + x."""
     return linear_table([field.frob_bits(1 << i) ^ (1 << i)
                          for i in range(field.degree)])
-
-
-def _table_mul(field: FieldSpec, a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two tables through exp/log; an entry is 0
-    wherever either factor is 0."""
-    log = field.log_table
-    out = field.exp_table[(log[a] + log[b]) % field.mult_order]
-    out[(a == 0) | (b == 0)] = 0
-    return out
-
-
-def _table_inv(field: FieldSpec, a: np.ndarray) -> np.ndarray:
-    """Entrywise inverse.  A zero entry raises: exp[-log[0]] would be the
-    generator, not an error."""
-    if not a.all():
-        raise InternalCheckError(
-            f"division by zero at x = 0x{np.flatnonzero(a == 0)[0]:x}")
-    return field.exp_table[-field.log_table[a] % field.mult_order]
 
 
 def _case_iii_powers(field: FieldSpec, w: FieldElement):
@@ -173,8 +158,8 @@ def _case_iii_powers(field: FieldSpec, w: FieldElement):
     x2 = frobenius_map(field, 1).array()
     x4 = frobenius_map(field, 2).array()
     den = x2 ^ field.mul_table(w.bits) ^ 1
-    return (x, x2, _table_mul(field, x2, x), x4, field.sqrt_table(),
-            _table_inv(field, x2[den]))
+    return (x, x2, field.table_mul(x2, x), x4, field.sqrt_table(),
+            field.table_inv(x2[den]))
 
 
 def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
@@ -186,13 +171,14 @@ def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
         x, x2, x3, x4, sx, inv_den2 = _case_iii_powers(field, w)
         mul = field.mul_table
         k = w * w + w ** 5 + w.sqrt()
-        f = _table_mul(field, mul((w * w).bits)[x4 ^ x]
-                       ^ mul((w * w * (1 + w + w * w)).bits)[x3 ^ x2],
-                       inv_den2) ^ sx
-        g = _table_mul(field, mul((w ** 4 / k).bits)[x4]
-                       ^ mul((w ** 3 * (1 + w * w + w ** 4) / k).bits)[x3]
-                       ^ mul((w ** 3 * (1 + w * w) / k).bits)[x],
-                       inv_den2) ^ mul((w.sqrt() / k).bits)[sx]
+        f = field.table_mul(
+            mul((w * w).bits)[x4 ^ x]
+            ^ mul((w * w * (1 + w + w * w)).bits)[x3 ^ x2], inv_den2) ^ sx
+        g = field.table_mul(
+            mul((w ** 4 / k).bits)[x4]
+            ^ mul((w ** 3 * (1 + w * w + w ** 4) / k).bits)[x3]
+            ^ mul((w ** 3 * (1 + w * w) / k).bits)[x], inv_den2) \
+            ^ mul((w.sqrt() / k).bits)[sx]
         return MappingTable(field, f), MappingTable(field, g)
     fe, ge = [], []
     for xb in range(field.order):
@@ -248,7 +234,7 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
         root = s.sqrt() + (s + 1) / (w.sqrt() * wsum)
         pref = (e + e * s + s.sqrt()).inv()
         return MappingTable(field, mul(pref.bits)[
-            _table_mul(field, num, inv_den2) ^ mul(root.bits)[sx]])
+            field.table_mul(num, inv_den2) ^ mul(root.bits)[sx]])
     entries = []
     if p.case == 1:
         a_div = (1 + e * s + s.sqrt()).inv()
@@ -322,28 +308,41 @@ class AdelaideParams:
             raise InternalCheckError("Adelaide e must have trace 1")
 
 
+def _adelaide_points(p: AdelaideParams):
+    """Big-field tables over the q embedded arguments x: x itself,
+    x^(1/2) (the square root commutes with the embedding) and
+    1 / (x + tr(beta) x^(1/2) + 1)^(l-1)."""
+    big = p.beta.field
+    x = np.asarray(p.emb.table)
+    sx = x[p.emb.small.sqrt_table()]
+    den = x ^ big.table_mul(p.trb.bits, sx) ^ 1
+    return x, sx, big.table_inv(big.table_pow(den, p.l - 1))
+
+
+def _trace_of_power(p: AdelaideParams, y: np.ndarray) -> np.ndarray:
+    """tr(y^l) entrywise, tr(z) = z + z^(2^m) the relative trace."""
+    z = p.beta.field.table_pow(y, p.l)
+    return z ^ p.beta.field.table_pow(z, 1 << p.m)
+
+
 def adelaide_pair(p: AdelaideParams) -> tuple[MappingTable, MappingTable]:
-    """The Adelaide base pair (f, g), evaluated inside GF(2^n) and
-    projected to GF(2^m).  The denominator x + tr(beta) x^(1/2) + 1 has
-    its square roots at beta and 1/beta, both outside GF(2^m)."""
-    emb = p.emb
-    small, m, l = emb.small, p.m, p.l
-    beta, trb, trbl = p.beta, p.trb, p.trbl
-    binv = beta.inv()
-    b2 = beta * beta
-    fe, ge = [], []
-    for xb in range(small.order):
-        x = emb(xb)
-        sx = x.sqrt()
-        dl = (x + trb * sx + 1) ** (l - 1)
-        fval = trbl * (x + 1) / trb \
-            + ((beta * x + binv) ** l).rel_trace(m) / (trb * dl) + sx
-        egval = (trbl / trb) * x \
-            + ((b2 * x + 1) ** l).rel_trace(m) / (trb * trbl * dl) \
-            + sx / trbl
-        fe.append(emb.project(fval).bits)
-        ge.append(emb.project(egval / p.e_big).bits)
-    return MappingTable(small, fe), MappingTable(small, ge)
+    """The Adelaide base pair (f, g), evaluated inside GF(2^n) on the
+    embedded arguments and projected to GF(2^m).  The denominator
+    x + tr(beta) x^(1/2) + 1 has its square roots at beta and 1/beta,
+    both outside GF(2^m)."""
+    beta, trb, trbl, emb = p.beta, p.trb, p.trbl, p.emb
+    mul = beta.field.table_mul
+    x, sx, inv_dl = _adelaide_points(p)
+    tf = _trace_of_power(p, mul(beta.bits, x) ^ beta.inv().bits)
+    tg = _trace_of_power(p, mul((beta * beta).bits, x) ^ 1)
+    fval = mul((trbl / trb).bits, x ^ 1) \
+        ^ mul(trb.inv().bits, mul(tf, inv_dl)) ^ sx
+    egval = mul((trbl / trb).bits, x) \
+        ^ mul((trb * trbl).inv().bits, mul(tg, inv_dl)) \
+        ^ mul(trbl.inv().bits, sx)
+    return (MappingTable(emb.small, emb.project_table(fval)),
+            MappingTable(emb.small, emb.project_table(
+                mul(p.e_big.inv().bits, egval))))
 
 
 def adelaide_fs(p: AdelaideParams, s) -> MappingTable:
@@ -358,21 +357,16 @@ def adelaide_f1(p: AdelaideParams) -> MappingTable:
     e tr(beta) tr(beta^l) f_1(x) = tr(beta^(2l))
         + tr((x + beta^2)^l) / (x + tr(beta) x^(1/2) + 1)^(l-1)
         + tr(beta) x^(1/2)."""
-    emb = p.emb
-    small, m, l = emb.small, p.m, p.l
-    f1 = adelaide_fs(p, small.one)
-    beta, trb, trbl = p.beta, p.trb, p.trbl
-    scale = p.e_big * trb * trbl
-    b2 = beta * beta
-    tr2l = (beta ** (2 * l)).rel_trace(m)
-    for xb in range(small.order):
-        x = emb(xb)
-        sx = x.sqrt()
-        dl = (x + trb * sx + 1) ** (l - 1)
-        rhs = tr2l + ((x + b2) ** l).rel_trace(m) / dl + trb * sx
-        if scale * emb(f1.entries[xb]) != rhs:
-            raise InternalCheckError(
-                f"f_1 display mismatch at x = 0x{xb:x}")
+    beta, trb = p.beta, p.trb
+    mul = beta.field.table_mul
+    f1 = adelaide_fs(p, p.emb.small.one)
+    x, sx, inv_dl = _adelaide_points(p)
+    lhs = mul((p.e_big * trb * p.trbl).bits, x[f1.array()])
+    rhs = (beta ** (2 * p.l)).rel_trace(p.m).bits ^ mul(trb.bits, sx) \
+        ^ mul(_trace_of_power(p, x ^ (beta * beta).bits), inv_dl)
+    bad = np.flatnonzero(lhs != rhs)
+    if bad.size:
+        raise InternalCheckError(f"f_1 display mismatch at x = 0x{bad[0]:x}")
     return f1
 
 

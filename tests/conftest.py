@@ -214,6 +214,47 @@ def oracle_subiaco3_explicit(field, w, e, s):
     return entries
 
 
+def oracle_adelaide_pair(p):
+    """The Adelaide base pair (f, g) one embedded point at a time in
+    GF(2^n) FieldElement arithmetic, projected back; two lists of
+    bitmasks."""
+    emb, m, l = p.emb, p.m, p.l
+    beta, trb, trbl = p.beta, p.trb, p.trbl
+    fe, ge = [], []
+    for xb in range(emb.small.order):
+        x = emb(xb)
+        sx = x.sqrt()
+        dl = (x + trb * sx + 1) ** (l - 1)
+        fval = trbl * (x + 1) / trb \
+            + ((beta * x + beta.inv()) ** l).rel_trace(m) / (trb * dl) + sx
+        egval = (trbl / trb) * x \
+            + ((beta * beta * x + 1) ** l).rel_trace(m) / (trb * trbl * dl) \
+            + sx / trbl
+        fe.append(emb.project(fval).bits)
+        ge.append(emb.project(egval / p.e_big).bits)
+    return fe, ge
+
+
+def oracle_adelaide_f1_display(p):
+    """f_1 read off the scaled single-fraction display
+    e tr(beta) tr(beta^l) f_1(x) = tr(beta^(2l))
+        + tr((x + beta^2)^l) / (x + tr(beta) x^(1/2) + 1)^(l-1)
+        + tr(beta) x^(1/2)
+    one embedded point at a time; a list of bitmasks."""
+    emb, m, l = p.emb, p.m, p.l
+    beta, trb = p.beta, p.trb
+    scale = p.e_big * trb * p.trbl
+    tr2l = (beta ** (2 * l)).rel_trace(m)
+    out = []
+    for xb in range(emb.small.order):
+        x = emb(xb)
+        sx = x.sqrt()
+        dl = (x + trb * sx + 1) ** (l - 1)
+        rhs = tr2l + ((x + beta * beta) ** l).rel_trace(m) / dl + trb * sx
+        out.append(emb.project(rhs / scale).bits)
+    return out
+
+
 def oracle_frobenius(field, i):
     """z -> z^(2^i) by i schoolbook squarings of every z."""
     out = []
@@ -435,6 +476,19 @@ def oracle_extract_h_mu(biv):
             raise NotClassHError(z, f"slope 0x{z:x}")
         entries.append(h)
     return entries, mu
+
+
+def table_from_function(field, fn):
+    """MappingTable of fn, called once per element as a FieldElement."""
+    from nihobent import MappingTable
+    return MappingTable(field, [fn(field.el(z)).bits
+                                for z in range(field.order)])
+
+
+def truth_table_from_function(n, fn):
+    """TruthTable of fn(x) & 1 over the bitmasks x of n bits."""
+    from nihobent import TruthTable
+    return TruthTable(n, [fn(x) & 1 for x in range(1 << n)])
 
 
 def random_table(rng, n):

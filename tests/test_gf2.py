@@ -248,6 +248,58 @@ def _check_large_tables(F):
         assert np.array_equal(F.subfield_trace_table(r)[sample], acc)
 
 
+@pytest.mark.parametrize("k", [4, 5])
+def test_table_pow_matches_oracle(k):
+    # every entry, zeros included (0**0 = 1), against schoolbook powers
+    F = GF(k)
+    q, mod = F.order, F.modulus
+    x = np.arange(q)
+    for e in (0, 1, 2, 3, q - 2, q - 1, q, 1 << k, 5 * q + 3):
+        assert F.table_pow(x, e).tolist() == \
+            [oracle_pow(v, e, mod, k) for v in range(q)], e
+    # an array of exponents on one base, as the coset test uses it
+    es = np.arange(3 * q)
+    assert F.table_pow(F.generator, es).tolist() == \
+        [oracle_pow(F.generator, e, mod, k) for e in es.tolist()]
+    assert F.table_pow(0, es).tolist() == [1] + [0] * (3 * q - 1)
+    with pytest.raises(ValueError, match="e >= 0"):
+        F.table_pow(x, -1)
+
+
+def test_table_mul_scalar_operand():
+    x = np.arange(GF16.order)
+    for c in (0, 1, 0x7, 0xD):
+        want = [oracle_mul(c, v, GF16.modulus, 4) for v in range(16)]
+        assert GF16.table_mul(c, x).tolist() == want
+        assert GF16.table_mul(x, c).tolist() == want
+    assert int(GF16.table_mul(0x7, 0xD)) == oracle_mul(0x7, 0xD,
+                                                       GF16.modulus, 4)
+
+
+@pytest.mark.parametrize("r,k", [(1, 1), (1, 4), (2, 4), (3, 6), (4, 8),
+                                 (3, 9), (5, 10), (6, 12), (5, 15), (8, 16),
+                                 (9, 18), (10, 20)])
+def test_project_table_round_trip(r, k):
+    S, B = GF(r), GF(k)
+    emb = embed_subfield(S, B)
+    table = np.asarray(emb.table)
+    assert emb.project_table(table).tolist() == list(range(S.order))
+    sub = np.array(B.subfield_bits(r))
+    rng = np.random.default_rng(r * 100 + k)
+    ys = rng.choice(sub, size=(3, 50))
+    assert np.array_equal(table[emb.project_table(ys)], ys)
+    assert all(emb.project(B.el(int(y))).bits == int(i) for y, i in
+               zip(ys[0], emb.project_table(ys[0])))
+    # negative control: the first value outside the image is named
+    outside = [y for y in (B.generator, B.order - 1, 0x3) if y not in
+               set(sub.tolist()) and y < B.order] + [B.order]
+    bad = np.array([table[1], *outside, 0])
+    with pytest.raises(ValueError, match=f"^0x{outside[0]:x} is outside "
+                       f"the embedded subfield$"):
+        emb.project_table(bad)
+    assert not any(emb.contains(B.el(y)) for y in outside[:-1])
+
+
 @pytest.mark.parametrize("r,k", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 6),
                                  (2, 8), (4, 8), (3, 9), (5, 10), (4, 12),
                                  (6, 12), (7, 14), (5, 15), (8, 16)])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (oracle_blend, oracle_frobenius, oracle_is_opoly,
+from conftest import (oracle_adelaide_f1_display, oracle_adelaide_pair,
+                      oracle_blend, oracle_frobenius, oracle_is_opoly,
                       oracle_mul, oracle_subiaco3_explicit,
                       oracle_subiaco3_pair)
 from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
@@ -20,7 +21,8 @@ from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
                       subiaco_fs, subiaco_fs_explicit,
                       subiaco_pair, unit_circle, unit_circle_element)
 from nihobent.gf2 import is_irreducible
-from nihobent.ovals import _table_inv, _table_mul, _verify_affine_match
+from nihobent import ovals
+from nihobent.ovals import _verify_affine_match
 
 GF4 = GF(2)
 GF8 = GF(3)
@@ -190,19 +192,19 @@ def test_table_product_matches_schoolbook():
     # every pair of GF(2^4) elements, zeros on either side included
     field = GF16
     a, b = np.divmod(np.arange(256), 16)
-    assert _table_mul(field, a, b).tolist() == \
+    assert field.table_mul(a, b).tolist() == \
         [oracle_mul(x, y, field.modulus, 4) for x, y in zip(a, b)]
 
 
 def test_table_inverse_rejects_zero():
     field = GF(5)
-    inv = _table_inv(field, np.arange(1, field.order))
+    inv = field.table_inv(np.arange(1, field.order))
     assert [oracle_mul(x, y, field.modulus, 5)
             for x, y in enumerate(inv.tolist(), 1)] == [1] * 31
     # exp[-log[0]] would read the generator instead of failing
     with pytest.raises(InternalCheckError, match="division by zero at "
                        "x = 0x2"):
-        _table_inv(field, np.array([3, 7, 0, 5]))
+        field.table_inv(np.array([3, 7, 0, 5]))
 
 
 def test_case_relations_at_w_one():
@@ -252,6 +254,40 @@ def test_adelaide_opolynomials(m):
         for sbits in (0, 1, 2):
             assert is_opolynomial(adelaide_fs(p, small.el(sbits)))
         assert adelaide_f1(p) == adelaide_fs(p, small.one)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_adelaide_tables_match_scalar_oracles(data):
+    m = data.draw(st.sampled_from([2, 4, 6, 8]))
+    small, big = GF(m), GF(2 * m)
+    beta = data.draw(st.sampled_from(
+        [b for b in unit_circle(big) if b.bits != 1]))
+    s = small.el(data.draw(st.integers(0, small.order - 1)))
+    p = AdelaideParams(beta, embed_subfield(small, big))
+    f, g = adelaide_pair(p)
+    fe, ge = oracle_adelaide_pair(p)
+    assert list(f.entries) == fe and list(g.entries) == ge
+    assert list(adelaide_fs(p, s).entries) == oracle_blend(
+        small, MappingTable(small, fe), MappingTable(small, ge), p.e, s)
+    assert list(adelaide_f1(p).entries) == oracle_adelaide_f1_display(p)
+
+
+def test_adelaide_f1_rejects_swapped_member(monkeypatch):
+    # negative control: f_1 with two entries swapped must fail the
+    # display check at the first swapped point
+    small, big = GF(4), GF(8)
+    p = AdelaideParams(unit_circle(big)[5], embed_subfield(small, big))
+    true_fs = ovals.adelaide_fs
+    for a, b in ((3, 9), (0, 15), (7, 8)):
+        def swapped(params, s, a=a, b=b):
+            entries = list(true_fs(params, s).entries)
+            entries[a], entries[b] = entries[b], entries[a]
+            return MappingTable(small, entries)
+        monkeypatch.setattr(ovals, "adelaide_fs", swapped)
+        with pytest.raises(InternalCheckError,
+                           match=f"^f_1 display mismatch at x = 0x{a:x}$"):
+            adelaide_f1(p)
 
 
 def test_frobenius_gcd_rule():

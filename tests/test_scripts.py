@@ -21,6 +21,8 @@ CASES = {
                             "--report", "both"],
     "hyperoval_survey_m5_catalog": ["hyperoval_survey.py", "--m", "5",
                                     "--report", "catalog"],
+    "hyperoval_survey_m6_catalog": ["hyperoval_survey.py", "--m", "6",
+                                    "--report", "catalog"],
     "family_survey_m2_4": ["family_survey.py", "--m-min", "2",
                            "--m-max", "4", "--samples", "8"],
 }
