@@ -32,7 +32,9 @@ a MappingTable stores.
 
 closed_form_g evaluates, for the s=3 binomial family, the algebraic
 expression of G obtained by expanding (u + v z)^d directly; comparing it
-against the extracted G validates that whole expansion pointwise.
+against the extracted G validates that whole expansion pointwise.  The
+closed forms are tables on the embedded points; the reduced circle form
+is c plus subiaco_shape, the kernel of the Subiaco case-3 forms too.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "is_opolynomial",
     "check_opoly_degree",
     "opoly_normalize",
+    "subiaco_shape",
     "closed_form_g",
     "closed_form_g_circle",
     "verify_trace_identities",
@@ -221,9 +224,9 @@ def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
     vals = biv.values
     # prod[x, z] = x z; row 0 is the x = 0 line, row z + 1 the slope-z
     # line {(x, x z)}, both listed by x
-    prod = linear_table([small.mul_table(1 << i)
-                         for i in range(small.degree)])
-    rows = np.vstack([vals[0], vals[np.arange(q)[:, None], prod].T])
+    x = np.arange(q)[:, None]
+    prod = small.table_mul(x, x.T)
+    rows = np.vstack([vals[0], vals[x, prod].T])
     const, func, bad = line_forms(rows)
     if const[0]:
         # every line passes through (0, 0), where a linear form vanishes
@@ -244,7 +247,8 @@ def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:
     """G(z) = H(z) + mu z."""
     if mu.field != h.field:
         raise ValueError("mu from the wrong field")
-    return MappingTable(h.field, h.array() ^ h.field.mul_table(mu.bits))
+    return MappingTable(h.field, h.array() ^ h.field.table_mul(
+        mu.bits, np.arange(h.field.order)))
 
 
 def is_permutation(t: MappingTable) -> bool:
@@ -325,14 +329,45 @@ def opoly_normalize(g: MappingTable) -> MappingTable:
         raise ValueError("cannot normalize: G(0) = G(1)")
     field = g.field
     scale = field.inv_bits(g0 ^ g1)
-    return MappingTable(field, field.mul_table(scale)[g.array() ^ g0])
+    return MappingTable(field, field.table_mul(scale, g.array() ^ g0))
 
 
-def _project_entry(emb: Embedding, val: FieldElement) -> int:
-    if not val.in_subfield(emb.small.degree):
+def subiaco_shape(field: FieldSpec, x, w: int, coeffs, c_half: int
+                  ) -> np.ndarray:
+    """Table of (c4 x^4 + c3 x^3 + c2 x^2 + c1 x) / (x^2 + w x + 1)^2
+    + c_half x^(1/2) over an argument table x of field bitmasks, with
+    bitmask constants w, coeffs = (c4, c3, c2, c1) and c_half.  A zero
+    of the denominator raises InternalCheckError through table_inv."""
+    # Horner: (((c4 x + c3) x + c2) x + c1) x, and den = (x + w) x + 1
+    num = 0
+    for c in coeffs:
+        num = field.table_mul(num ^ c, x)
+    den = field.table_mul(x ^ w, x) ^ 1
+    return field.table_mul(num, field.table_inv(field.table_mul(den, den))) \
+        ^ field.table_mul(c_half, field.sqrt_table()[x])
+
+
+def _half_degree(b: FieldElement, other: FieldSpec, emb: Embedding,
+                 what: str) -> int:
+    """m for n = 2m, after the checks that both closed forms make."""
+    big = b.field
+    if other != big or emb.big != big:
+        raise ValueError(f"b, {what} and embedding must share a field")
+    if big.degree % 2 or emb.small.degree * 2 != big.degree:
+        raise ValueError("need n = 2m and the half-degree embedding")
+    if b.bits == 0:
+        raise ValueError("b must be nonzero")
+    return big.degree // 2
+
+
+def _project(emb: Embedding, vals: np.ndarray) -> MappingTable:
+    """The preimages of closed-form values; a value outside GF(2^m)
+    (one that y^(2^m) moves) is an internal error naming the first."""
+    bad = np.flatnonzero(emb.big.table_pow(vals, emb.small.order) != vals)
+    if bad.size:
         raise InternalCheckError(
-            f"closed form produced 0x{val.bits:x} outside the subfield")
-    return emb.project(val).bits
+            f"closed form produced 0x{vals[bad[0]]:x} outside the subfield")
+    return MappingTable(emb.small, emb.project_table(vals))
 
 
 def closed_form_g(b: FieldElement, basis: BasisPair,
@@ -345,16 +380,10 @@ def closed_form_g(b: FieldElement, basis: BasisPair,
         K = b u^2 (u^(2(2^m-1)) + v^(2(2^m-1))),
         c = (a u^(2^m+1))^(1/2) + tr(b u^(2^m) v^(2(2^m-1))),
 
-    with a = b^(2^m+1) and tr the relative trace onto GF(2^m)."""
+    with a = b^(2^m+1) and tr the relative trace onto GF(2^m), as table
+    expressions on the embedded points z."""
     big = b.field
-    if basis.field != big or emb.big != big:
-        raise ValueError("b, basis and embedding must share a field")
-    n = big.degree
-    if n % 2 or emb.small.degree != n // 2:
-        raise ValueError("need n = 2m and the half-degree embedding")
-    m = n // 2
-    if b.bits == 0:
-        raise ValueError("b must be nonzero")
+    m = _half_degree(b, basis.field, emb, "basis")
     a = b ** ((1 << m) + 1)
     u, v = basis.u, basis.v
     qm = 1 << m
@@ -362,13 +391,12 @@ def closed_form_g(b: FieldElement, basis: BasisPair,
     k_coef = b * u * u * (u ** (2 * (qm - 1)) + v ** (2 * (qm - 1)))
     c = (a * u ** (qm + 1)).sqrt() \
         + (b * u.frob(m) * v ** (2 * (qm - 1))).rel_trace(m)
-    entries = []
-    for zs in range(emb.small.order):
-        z = emb(zs)
-        val = c + (a * t_lin * z).sqrt() \
-            + (k_coef * (u + v * z) ** (qm - 2)).rel_trace(m)
-        entries.append(_project_entry(emb, val))
-    return MappingTable(emb.small, entries)
+    z = np.asarray(emb.table)
+    t = big.table_mul(k_coef.bits, big.table_pow(
+        big.table_mul(v.bits, z) ^ u.bits, qm - 2))
+    return _project(emb, c.bits ^ t ^ big.table_pow(t, qm)
+                    ^ big.table_mul((a * t_lin).sqrt().bits,
+                                    z[emb.small.sqrt_table()]))
 
 
 def closed_form_g_circle(b: FieldElement, u: FieldElement, emb: Embedding,
@@ -384,60 +412,48 @@ def closed_form_g_circle(b: FieldElement, u: FieldElement, emb: Embedding,
                     + tr(b' u^5) w^2 z^2 + tr(b'(u^4+1)) z] / (z^2+wz+1)^2,
                b' = b^(2^m)
 
-    where w = u + u^(2^m).  Both agree with the general form; the
+    where w = u + u^(2^m); the reduced shape is c plus subiaco_shape on
+    the embedded points.  Both agree with the general form; the
     denominators never vanish for z in GF(2^m) because u and u^(2^m)
     are the roots of z^2 + wz + 1 and lie outside GF(2^m)."""
     big = b.field
-    if u.field != big or emb.big != big:
-        raise ValueError("b, u and embedding must share a field")
-    n = big.degree
-    if n % 2 or emb.small.degree != n // 2:
-        raise ValueError("need n = 2m and the half-degree embedding")
-    m = n // 2
-    if b.bits == 0:
-        raise ValueError("b must be nonzero")
+    m = _half_degree(b, u.field, emb, "u")
     if (u ** ((1 << m) + 1)).bits != 1 or u.in_subfield(m):
         raise ValueError("u must lie on the unit circle outside GF(2^m)")
     a = b ** ((1 << m) + 1)
     ubar = u.frob(m)
     w = u + ubar
-    entries = []
+    z = np.asarray(emb.table)
     if not reduced:
         c = a.sqrt() + (b * ubar).rel_trace(m)
-        for zs in range(emb.small.order):
-            z = emb(zs)
-            val = c + (a * w * z).sqrt() \
-                + b * w * w * (ubar + z) / ((u + z) * (u + z)) \
-                + b.frob(m) * w * w * (u + z) / ((ubar + z) * (ubar + z))
-            entries.append(_project_entry(emb, val))
-        return MappingTable(emb.small, entries)
+        # for z in GF(2^m) the last term is the conjugate of the one
+        # before it, so the two sum to tr(b w^2 (u^(2^m)+z)/(u+z)^2)
+        t = big.table_mul((b * w * w).bits, big.table_mul(
+            z ^ ubar.bits, big.table_inv(big.table_pow(z ^ u.bits, 2))))
+        return _project(emb, c.bits ^ t ^ big.table_pow(t, 1 << m)
+                        ^ big.table_mul((a * w).sqrt().bits,
+                                        z[emb.small.sqrt_table()]))
     bq = b.frob(m)
     c = a.sqrt() + (bq * u ** 5).rel_trace(m)
-    c4 = (bq * (u ** 5 + u)).rel_trace(m)
-    c3 = b.rel_trace(m) * w * w
-    c2 = (bq * u ** 5).rel_trace(m) * w * w
-    c1 = (bq * (u ** 4 + big.one)).rel_trace(m)
-    for zs in range(emb.small.order):
-        z = emb(zs)
-        den = z * z + w * z + 1
-        num = c4 * z ** 4 + c3 * z ** 3 + c2 * z * z + c1 * z
-        val = c + (a * w * z).sqrt() + num / (den * den)
-        entries.append(_project_entry(emb, val))
-    return MappingTable(emb.small, entries)
+    coeffs = [(bq * (u ** 5 + u)).rel_trace(m), b.rel_trace(m) * w * w,
+              (bq * u ** 5).rel_trace(m) * w * w,
+              (bq * (u ** 4 + big.one)).rel_trace(m)]
+    return _project(emb, c.bits ^ subiaco_shape(
+        big, z, w.bits, [k.bits for k in coeffs], (a * w).sqrt().bits))
 
 
 def verify_trace_identities(b: FieldElement, u: FieldElement,
                             v: FieldElement | None = None) -> bool:
     """The three trace identities used to reduce the circle form of G,
     plus the square-root expansion of (u + v z)^((2^m+1)/2) on every
-    subfield point z.  b = 0 is allowed (everything degenerates to 0)."""
+    subfield point z, as one table comparison.  b = 0 is allowed
+    (everything degenerates to 0)."""
     big = u.field
     if b.field != big:
         raise ValueError("b and u must share a field")
-    n = big.degree
-    if n % 2:
+    if big.degree % 2:
         raise ValueError("need n = 2m")
-    m = n // 2
+    m = big.degree // 2
     if (u ** ((1 << m) + 1)).bits != 1 or u.in_subfield(m):
         raise ValueError("u must lie on the unit circle outside GF(2^m)")
     if v is None:
@@ -445,22 +461,21 @@ def verify_trace_identities(b: FieldElement, u: FieldElement,
     bq = b.frob(m)
     w = u + u.frob(m)
     tb = b + bq
-    one = big.one
-
-    ok = (w * w * tb * u ** 3 + b * w ** 3 * (one + w * w)
+    ok = (w * w * tb * u ** 3 + b * w ** 3 * (1 + w * w)
           == (bq * (u ** 5 + u)).rel_trace(m))
     ok = ok and (u * tb + b * w + (bq * (u ** 5 + u)).rel_trace(m)
                  == (bq * u ** 5).rel_trace(m))
     ok = ok and (w * w * tb * u * u + b * w ** 4
-                 == (bq * (u ** 4 + one)).rel_trace(m))
+                 == (bq * (u ** 4 + 1)).rel_trace(m))
     if not ok:
         return False
     qm1 = (1 << m) + 1
+    half = big.order // 2
     t_lin = (u.frob(m) * v).rel_trace(m)
-    for zb in big.subfield_bits(m):
-        z = big.el(zb)
-        lhs = ((u + v * z) ** qm1).sqrt()
-        rhs = (u ** qm1).sqrt() + (t_lin * z).sqrt() + (v ** qm1).sqrt() * z
-        if lhs != rhs:
-            return False
-    return True
+    z = np.array(big.subfield_bits(m))
+    # x^(1/2) = x^(2^(n-1))
+    lhs = big.table_pow(big.table_mul(v.bits, z) ^ u.bits, qm1 * half)
+    rhs = (u ** qm1).sqrt().bits \
+        ^ big.table_mul(t_lin.sqrt().bits, big.table_pow(z, half)) \
+        ^ big.table_mul((v ** qm1).sqrt().bits, z)
+    return bool((lhs == rhs).all())

@@ -21,7 +21,8 @@ operations.  The exp/log pair is doubled the same way through the
 multiply-by-g^(2^i) tables at construction, for every degree; scalar mul,
 pow, inv and sqrt index it in O(1), and table_mul, table_inv and
 table_pow apply the same arithmetic entrywise to bitmask arrays, with
-the zero entry (log[0] = -1) masked for their callers.  The pair takes
+the zero entry (log[0] = -1) masked for their callers; table_mul(c, t)
+is also the one way to multiply a table by a constant.  The pair takes
 2^(k+4) bytes, 16 MiB at the degree cap k = 20.  FieldSpec is immutable
 after construction and every derived table is a pure function of it, so
 instances can be shared freely across threads.
@@ -226,7 +227,9 @@ class FieldSpec:
         c = self.generator
         h = 1
         for _ in range(self.degree):
-            exp[h:2 * h] = self.mul_table(c)[exp[:h]]
+            times_c = linear_table([self._mul_raw(c, 1 << i)
+                                    for i in range(self.degree)])
+            exp[h:2 * h] = times_c[exp[:h]]
             c = self._mul_raw(c, c)
             h *= 2
         if exp[n] != 1:
@@ -243,11 +246,6 @@ class FieldSpec:
             self._exp, self._log = self.exp_table.tolist(), log.tolist()
         else:
             self._exp, self._log = memoryview(self.exp_table), memoryview(log)
-
-    def mul_table(self, c: int) -> np.ndarray:
-        """Table of x -> c x over the whole field (GF(2)-linear in x)."""
-        return linear_table([self._mul_raw(c, 1 << i)
-                             for i in range(self.degree)])
 
     # -- whole-table arithmetic (bitmask arrays in, int64 arrays out) ------
 
@@ -313,8 +311,8 @@ class FieldSpec:
         return self.pow_bits(a, 1 << (self.degree - 1)) if a else 0
 
     def frob_bits(self, a: int, i: int = 1) -> int:
-        """a ** (2^i)."""
-        return self.pow_bits(a, 1 << i)
+        """a ** (2^i); i is reduced mod k first, since a^(2^k) = a."""
+        return self.pow_bits(a, 1 << (i % self.degree))
 
     def _frob_sum(self, a: int, step: int, terms: int) -> int:
         """sum_{i < terms} a^(2^(step i)), one exp lookup per term."""

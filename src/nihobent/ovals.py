@@ -10,12 +10,12 @@ pair (f, g) and the one-parameter blend
 whose denominator never vanishes because tr(e) = 1; each term is
 GF(2)-linear in a table (f, g or x^(1/2)), so f_s is a composition of
 whole-table maps with no per-point loop.  The case-3 pair and explicit
-form are whole-table too (FieldSpec.table_mul, and table_inv, which
-refuses zero entries).  Cases 1 and 2 are still evaluated point by point
-in FieldElement arithmetic, for a measured reason, not a mathematical
-one: the benchmark runner keeps a record per completed item, so their
-faster port raised the survey benchmark's peak RSS by 7 to 15%, past its
-10% bound; they follow once that memory no longer grows with throughput.
+form are coefficient rows for bivariate.subiaco_shape on all of GF(2^m).
+Cases 1 and 2 are still evaluated point by point in FieldElement
+arithmetic, for a measured reason, not a mathematical one: the benchmark
+runner keeps a record per completed item, so their port onto the same
+kernel raised the survey benchmark's peak RSS by 11 to 30%, past its 10%
+bound; they follow once that memory no longer grows with throughput.
 The Adelaide catalog (m even) is defined through relative traces of a
 unit-circle element beta of GF(2^n), so it is evaluated inside the big
 field as whole-table expressions on the q embedded arguments (table_pow,
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bivariate import (BasisPair, MappingTable, extract_h_mu, g_from_h,
-                        to_bivariate)
+                        subiaco_shape, to_bivariate)
 from .gf2 import (GF, Embedding, FieldElement, FieldSpec, InternalCheckError,
                   embed_subfield, linear_table, unit_circle_element)
 from .niho import FamilySpec, build_bent
@@ -151,34 +151,21 @@ def _square_plus_x(field: FieldSpec) -> np.ndarray:
                          for i in range(field.degree)])
 
 
-def _case_iii_powers(field: FieldSpec, w: FieldElement):
-    """Tables of x, x^2, x^3, x^4, x^(1/2) and 1 / (x^2 + w x + 1)^2.
-    The quadratic is irreducible (tr(1/w) = 1), so it never vanishes."""
-    x = np.arange(field.order)
-    x2 = frobenius_map(field, 1).array()
-    x4 = frobenius_map(field, 2).array()
-    den = x2 ^ field.mul_table(w.bits) ^ 1
-    return (x, x2, field.table_mul(x2, x), x4, field.sqrt_table(),
-            field.table_inv(x2[den]))
-
-
 def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
     """The base pair (f, g) of the parameter set.  The denominators are
     irreducible quadratics over GF(2^m), so they never vanish."""
     field = p.field
     w = p.w
     if p.case == 3:
-        x, x2, x3, x4, sx, inv_den2 = _case_iii_powers(field, w)
-        mul = field.mul_table
         k = w * w + w ** 5 + w.sqrt()
-        f = field.table_mul(
-            mul((w * w).bits)[x4 ^ x]
-            ^ mul((w * w * (1 + w + w * w)).bits)[x3 ^ x2], inv_den2) ^ sx
-        g = field.table_mul(
-            mul((w ** 4 / k).bits)[x4]
-            ^ mul((w ** 3 * (1 + w * w + w ** 4) / k).bits)[x3]
-            ^ mul((w ** 3 * (1 + w * w) / k).bits)[x], inv_den2) \
-            ^ mul((w.sqrt() / k).bits)[sx]
+        x = np.arange(field.order)
+        c41, c32 = (w * w).bits, (w * w * (1 + w + w * w)).bits
+        f = subiaco_shape(field, x, w.bits, [c41, c32, c32, c41], 1)
+        g = subiaco_shape(field, x, w.bits,
+                          [(w ** 4 / k).bits,
+                           (w ** 3 * (1 + w * w + w ** 4) / k).bits, 0,
+                           (w ** 3 * (1 + w * w) / k).bits],
+                          (w.sqrt() / k).bits)
         return MappingTable(field, f), MappingTable(field, g)
     fe, ge = [], []
     for xb in range(field.order):
@@ -207,10 +194,10 @@ def _blend(field: FieldSpec, f: MappingTable, g: MappingTable,
     if a_div.bits == 0:
         raise InternalCheckError(
             "blend denominator vanished although tr(e) = 1")
-    mul = field.mul_table
-    return MappingTable(field, mul(a_div.inv().bits)[
-        f.array() ^ mul((e * s).bits)[g.array()]
-        ^ mul(s.sqrt().bits)[field.sqrt_table()]])
+    mul = field.table_mul
+    return MappingTable(field, mul(a_div.inv().bits,
+                                   f.array() ^ mul((e * s).bits, g.array())
+                                   ^ mul(s.sqrt().bits, field.sqrt_table())))
 
 
 def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
@@ -221,30 +208,26 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
     s = _as_element(field, s)
     w, e = p.w, p.e
     if p.case == 3:
-        x, x2, x3, x4, sx, inv_den2 = _case_iii_powers(field, w)
-        mul = field.mul_table
+        # pref (w^2 ((1 + s w + w^2) x^4 + wsum^2 (s x^3 + x^2)
+        # + (s + w + s w^2) x) / (wsum den^2) + root x^(1/2))
         wsum = 1 + w + w * w
-        # w^2 ((1 + s w + w^2) x^4 + wsum^2 (s x^3 + x^2)
-        # + (s + w + s w^2) x) / wsum, with w^2 / wsum in each coefficient
-        c = w * w / wsum
-        num = (mul((c * (1 + s * w + w * w)).bits)[x4]
-               ^ mul((c * wsum * wsum * s).bits)[x3]
-               ^ mul((c * wsum * wsum).bits)[x2]
-               ^ mul((c * (s + w + s * w * w)).bits)[x])
-        root = s.sqrt() + (s + 1) / (w.sqrt() * wsum)
         pref = (e + e * s + s.sqrt()).inv()
-        return MappingTable(field, mul(pref.bits)[
-            field.table_mul(num, inv_den2) ^ mul(root.bits)[sx]])
+        c = pref * w * w / wsum
+        root = s.sqrt() + (s + 1) / (w.sqrt() * wsum)
+        return MappingTable(field, subiaco_shape(
+            field, np.arange(field.order), w.bits,
+            [(c * (1 + s * w + w * w)).bits, (c * wsum * wsum * s).bits,
+             (c * wsum * wsum).bits, (c * (s + w + s * w * w)).bits],
+            (pref * root).bits))
     entries = []
+    a_div = (1 + e * s + s.sqrt()).inv()
     if p.case == 1:
-        a_div = (1 + e * s + s.sqrt()).inv()
         for xb in range(field.order):
             x = field.el(xb)
             den = x * x + x + 1
             entries.append(((s * (x ** 4 + x ** 3) + x * x + x)
                             * a_div / (den * den) + x.sqrt()).bits)
     elif p.case == 2:
-        a_div = (1 + e * s + s.sqrt()).inv()
         for xb in range(field.order):
             x = field.el(xb)
             den = x * x + w * x + 1
@@ -431,7 +414,7 @@ def _verify_affine_match(extracted: MappingTable, member: MappingTable,
                          c0: FieldElement, c1: FieldElement,
                          what: str) -> int:
     small = extracted.field
-    claimed = c0.bits ^ small.mul_table(c1.bits)[member.array()]
+    claimed = c0.bits ^ small.table_mul(c1.bits, member.array())
     bad = np.flatnonzero(extracted.array() != claimed)
     if bad.size:
         raise VerificationError(f"{what}: mismatch at z = 0x{bad[0]:x}")

@@ -214,6 +214,84 @@ def oracle_subiaco3_explicit(field, w, e, s):
     return entries
 
 
+def oracle_closed_form_g(b, basis, emb):
+    """closed_form_g's expanded expression one embedded point at a time
+    with FieldElement arithmetic, projected back; a list of bitmasks."""
+    m = emb.small.degree
+    qm = 1 << m
+    a = b ** (qm + 1)
+    u, v = basis.u, basis.v
+    t_lin = (u.frob(m) * v).rel_trace(m)
+    k_coef = b * u * u * (u ** (2 * (qm - 1)) + v ** (2 * (qm - 1)))
+    c = (a * u ** (qm + 1)).sqrt() \
+        + (b * u.frob(m) * v ** (2 * (qm - 1))).rel_trace(m)
+    out = []
+    for zs in range(emb.small.order):
+        z = emb(zs)
+        val = c + (a * t_lin * z).sqrt() \
+            + (k_coef * (u + v * z) ** (qm - 2)).rel_trace(m)
+        out.append(emb.project(val).bits)
+    return out
+
+
+def oracle_closed_form_g_circle(b, u, emb, reduced):
+    """Either published circle shape of G (closed_form_g_circle) one
+    embedded point at a time, both fractions of the default shape
+    written out; a list of bitmasks."""
+    m = emb.small.degree
+    a = b ** ((1 << m) + 1)
+    ubar = u.frob(m)
+    w = u + ubar
+    bq = b.frob(m)
+    if reduced:
+        c = a.sqrt() + (bq * u ** 5).rel_trace(m)
+        c4 = (bq * (u ** 5 + u)).rel_trace(m)
+        c3 = b.rel_trace(m) * w * w
+        c2 = (bq * u ** 5).rel_trace(m) * w * w
+        c1 = (bq * (u ** 4 + 1)).rel_trace(m)
+    else:
+        c = a.sqrt() + (b * ubar).rel_trace(m)
+    out = []
+    for zs in range(emb.small.order):
+        z = emb(zs)
+        val = c + (a * w * z).sqrt()
+        if reduced:
+            den = z * z + w * z + 1
+            val += (c4 * z ** 4 + c3 * z ** 3 + c2 * z * z + c1 * z) \
+                / (den * den)
+        else:
+            val += b * w * w * (ubar + z) / ((u + z) * (u + z)) \
+                + bq * w * w * (u + z) / ((ubar + z) * (ubar + z))
+        out.append(emb.project(val).bits)
+    return out
+
+
+def oracle_trace_identities(b, u, v):
+    """The three circle-form trace identities and the square-root
+    expansion of (u + v z)^((2^m+1)/2), one subfield point z at a time
+    with FieldElement arithmetic."""
+    big = u.field
+    m = big.degree // 2
+    bq = b.frob(m)
+    w = u + u.frob(m)
+    tb = b + bq
+    if (w * w * tb * u ** 3 + b * w ** 3 * (1 + w * w)
+            != (bq * (u ** 5 + u)).rel_trace(m)
+            or u * tb + b * w + (bq * (u ** 5 + u)).rel_trace(m)
+            != (bq * u ** 5).rel_trace(m)
+            or w * w * tb * u * u + b * w ** 4
+            != (bq * (u ** 4 + 1)).rel_trace(m)):
+        return False
+    qm1 = (1 << m) + 1
+    t_lin = (u.frob(m) * v).rel_trace(m)
+    for zb in big.subfield_bits(m):
+        z = big.el(zb)
+        if ((u + v * z) ** qm1).sqrt() != (u ** qm1).sqrt() \
+                + (t_lin * z).sqrt() + (v ** qm1).sqrt() * z:
+            return False
+    return True
+
+
 def oracle_adelaide_pair(p):
     """The Adelaide base pair (f, g) one embedded point at a time in
     GF(2^n) FieldElement arithmetic, projected back; two lists of

@@ -185,7 +185,7 @@ def test_criterion_06_trace_identities(capsys):
             circle = [u for u in unit_circle(F) if u.bits != 1]
             for bb in range(1 << (2 * m)):
                 for u in circle:
-                    verify_trace_identities(F.el(bb), u)
+                    assert verify_trace_identities(F.el(bb), u) is True
 
     _run(capsys, 6, "coefficient trace identities hold for every "
          "admissible u", None, check)

@@ -1,17 +1,19 @@
 """Bivariate form, slope-map extraction, o-polynomial predicates,
 closed forms and small-field trace identities."""
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (bent_or_mutated, oracle_extract, oracle_extract_h_mu,
-                      oracle_g_from_h, oracle_is_opoly,
+from conftest import (bent_or_mutated, oracle_closed_form_g,
+                      oracle_closed_form_g_circle, oracle_extract,
+                      oracle_extract_h_mu, oracle_g_from_h, oracle_is_opoly,
                       oracle_is_permutation, oracle_normalize,
-                      oracle_table_json, oracle_two_to_one,
-                      table_from_function)
+                      oracle_table_json, oracle_trace_identities,
+                      oracle_two_to_one, table_from_function)
 from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       InternalCheckError, MappingTable, NotClassHError,
                       SubiacoParams, adelaide_fs, build_bent,
@@ -20,7 +22,9 @@ from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       is_opolynomial, is_permutation, is_two_to_one,
                       opoly_normalize, subiaco_fs, subiaco_pair,
                       to_bivariate, unit_circle, verify_trace_identities)
+from nihobent.bivariate import _project
 from nihobent.boolfn import TruthTable
+from nihobent.gf2 import FieldElement, FieldSpec
 
 GF4 = GF(2)
 GF8 = GF(3)
@@ -364,7 +368,81 @@ def test_trace_identities_all_admissible(m):
     circ = [u for u in unit_circle(F) if u.bits != 1]
     for bbits in range(0, 1 << (2 * m), 5):
         for u in circ:
-            verify_trace_identities(F.el(bbits), u)
+            assert verify_trace_identities(F.el(bbits), u) is True
+
+
+class _OffConjugate(FieldElement):
+    """An element whose conjugate b^(2^m) is off by one."""
+    __slots__ = ()
+
+    def frob(self, i=1):
+        return super().frob(i) + 1
+
+
+def test_trace_identities_negative_controls(monkeypatch):
+    # a perturbed conjugate of b breaks the identities (the expansion
+    # does not read b), and points outside GF(2^m) break the expansion:
+    # both read False
+    F = GF(6)
+    b, u = F.el(0x5), unit_circle(F)[1]
+    assert verify_trace_identities(b, u)
+    off = _OffConjugate(b.bits, F)
+    assert verify_trace_identities(off, u) is False
+    assert oracle_trace_identities(off, u, F.one) is False
+    with monkeypatch.context() as mp:
+        mp.setattr(FieldSpec, "subfield_bits",
+                   lambda self, r: list(range(self.order)))
+        assert verify_trace_identities(b, u) is False
+        assert oracle_trace_identities(b, u, F.one) is False
+
+
+def _check_closed_forms(m, bs, us):
+    """Every closed form and the trace identities equal their scalar
+    oracles, over the basis (u, 1) and one basis (u, v) with v != 1."""
+    F, S, emb = _setup(m)
+    for u in us:
+        v = next(F.gen ** k for k in range(1, F.order)
+                 if not (u / F.gen ** k).in_subfield(m))
+        for b in bs:
+            for basis in (BasisPair(u, F.one), BasisPair(u, v)):
+                assert list(closed_form_g(b, basis, emb).entries) == \
+                    oracle_closed_form_g(b, basis, emb)
+                assert verify_trace_identities(b, u, basis.v) is True
+                assert oracle_trace_identities(b, u, basis.v) is True
+            for reduced in (False, True):
+                assert list(closed_form_g_circle(b, u, emb,
+                                                 reduced).entries) == \
+                    oracle_closed_form_g_circle(b, u, emb, reduced)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_closed_forms_match_scalar_oracles(m):
+    F = GF(2 * m)
+    _check_closed_forms(m, [F.el(x) for x in range(1, F.order)],
+                        [u for u in unit_circle(F) if u.bits != 1])
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_closed_forms_match_scalar_oracles_sampled(m):
+    F = GF(2 * m)
+    rng = random.Random(0xC105 + m)
+    circle = [u for u in unit_circle(F) if u.bits != 1]
+    _check_closed_forms(m, [F.el(x) for x in
+                            rng.sample(range(1, F.order), 12)],
+                        rng.sample(circle, 3))
+
+
+def test_closed_form_projection_names_value_outside_subfield():
+    F, S, emb = _setup(3)
+    inside = np.asarray(emb.table)
+    assert list(_project(emb, inside).entries) == list(range(S.order))
+    outside = [x for x in range(F.order) if not F.el(x).in_subfield(3)]
+    vals = inside.copy()
+    vals[5], vals[6] = outside[7], outside[3]
+    with pytest.raises(InternalCheckError,
+                       match=f"closed form produced 0x{outside[7]:x} "
+                             f"outside the subfield"):
+        _project(emb, vals)
 
 
 def test_trace_identities_reject_u_one():

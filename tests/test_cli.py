@@ -129,6 +129,20 @@ def test_opoly_missing_input_exits_2(argv, flag, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_opoly_frobenius_exponent_reduced_mod_m(capsys):
+    # z^(2^N) depends on N mod m only: a huge N is neither expanded nor
+    # refused, and the report still echoes N as given
+    argv = ["opoly", "--source", "frobenius", "--m", "5", "--exponent"]
+    code, doc = run(capsys, *argv, "1000000000000")
+    assert code == 0 and doc["inputs"]["exponent"] == 1000000000000
+    assert doc["outputs"]["table"] == [f"0x{z:x}" for z in range(32)]
+    assert doc["verdicts"]["is_opoly"] is False
+    code, doc = run(capsys, *argv, "1000000000001")
+    _, ref = run(capsys, *argv, "1")
+    assert code == 0 and doc["outputs"] == ref["outputs"]
+    assert doc["verdicts"]["is_opoly"] is True
+
+
 def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
     # 19 must not be read as 0x19 = 25; numbers and non-arrays exit 2
     numbers = [x % 20 for x in range(32)]
