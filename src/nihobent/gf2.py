@@ -19,13 +19,13 @@ arrays by one kernel, linear_table, from their k basis images (computed
 with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
 operations.  The exp/log pair is doubled the same way through the
 multiply-by-g^(2^i) tables at construction, for every degree; scalar mul,
-pow, inv and sqrt index it in O(1), and table_mul, table_inv and
-table_pow apply the same arithmetic entrywise to bitmask arrays, with
-the zero entry (log[0] = -1) masked for their callers; table_mul(c, t)
-is also the one way to multiply a table by a constant.  The pair takes
-2^(k+4) bytes, 16 MiB at the degree cap k = 20.  FieldSpec is immutable
-after construction and every derived table is a pure function of it, so
-instances can be shared freely across threads.
+pow, inv and sqrt index it in O(1) through memoryviews, and table_mul,
+table_inv and table_pow apply the same arithmetic entrywise to bitmask
+arrays, with the zero entry (log[0] = -1) masked for their callers;
+table_mul(c, t) is also the one way to multiply a table by a constant.
+The pair takes 2^(k+4) bytes, 16 MiB at the degree cap k = 20.  Every
+table a FieldSpec holds or caches is read-only and a pure function of
+it, so instances can be shared freely across threads.
 
 The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
 Gram matrix M on the polynomial basis (a Hankel matrix of the traces of
@@ -35,6 +35,8 @@ in boolfn and the H/mu extraction in bivariate read these tables.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -140,6 +142,22 @@ def _factorize(n: int) -> list[int]:
     return fs
 
 
+def _memo(build):
+    """FieldSpec method decorator: build(self, *args) runs once per spec
+    and args, and its result is kept in self._derived.  A kept numpy
+    array is made read-only, so no caller can corrupt it for the next."""
+    @functools.wraps(build)
+    def method(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._derived:
+            value = build(self, *args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
+    return method
+
+
 class FieldSpec:
     """One concrete GF(2^k): degree, reduction modulus, primitive element.
 
@@ -147,9 +165,9 @@ class FieldSpec:
     compare equal iff degree, modulus and generator all agree.
 
     exp_table[j] = g^j (j < 2^k - 1) and log_table[x] (log_table[0] = -1)
-    are int64 numpy arrays; table_mul, table_inv and table_pow are the
-    whole-table arithmetic on them, and scalar operations index the same
-    tables through _exp and _log.
+    are read-only int64 numpy arrays; table_mul, table_inv and table_pow
+    are the whole-table arithmetic on them, and scalar operations index
+    the same arrays through the memoryviews _exp and _log.
     """
 
     __slots__ = ("degree", "modulus", "generator", "order", "mult_order",
@@ -239,13 +257,10 @@ class FieldSpec:
         if (log[1:] < 0).any():
             raise AssertionError(
                 "exp table is not a permutation of the nonzero elements")
+        exp.flags.writeable = log.flags.writeable = False
         self.exp_table = exp[:n]
         self.log_table = log
-        # lists index fastest; above degree 16 they would cost ~100 MiB
-        if self.degree <= 16:
-            self._exp, self._log = self.exp_table.tolist(), log.tolist()
-        else:
-            self._exp, self._log = memoryview(self.exp_table), memoryview(log)
+        self._exp, self._log = memoryview(self.exp_table), memoryview(log)
 
     # -- whole-table arithmetic (bitmask arrays in, int64 arrays out) ------
 
@@ -342,93 +357,79 @@ class FieldSpec:
             raise ValueError(
                 f"{r} is not a subfield degree of GF(2^{self.degree})")
 
-    # -- cached derived tables --------------------------------------------
+    # -- cached derived tables (read-only arrays, see _memo) --------------
 
+    @_memo
     def subfield_bits(self, r: int) -> list[int]:
         """Sorted bitmasks of the subfield GF(2^r) inside this field."""
         self._check_subdegree(r)
-        key = ("subfield", r)
-        if key not in self._derived:
-            # the kernel of the GF(2)-linear map x -> x^(2^r) + x
-            moved = linear_table([self.frob_bits(1 << i, r) ^ (1 << i)
-                                  for i in range(self.degree)])
-            self._derived[key] = np.flatnonzero(moved == 0).tolist()
-        return self._derived[key]
+        # the kernel of the GF(2)-linear map x -> x^(2^r) + x
+        moved = linear_table([self.frob_bits(1 << i, r) ^ (1 << i)
+                              for i in range(self.degree)])
+        return np.flatnonzero(moved == 0).tolist()
 
+    @_memo
     def subfield_trace_table(self, r: int) -> np.ndarray:
         """Table of sum_{i<r} y^(2^i) for every y; equals the absolute
         trace of GF(2^r) whenever y lies in that subfield.  The map is
         GF(2)-linear, so the table follows from the k basis images."""
         self._check_subdegree(r)
-        key = ("trtab", r)
-        if key not in self._derived:
-            self._derived[key] = linear_table(
-                [self._frob_sum(1 << i, 1, r) for i in range(self.degree)])
-        return self._derived[key]
+        return linear_table([self._frob_sum(1 << i, 1, r)
+                             for i in range(self.degree)])
 
+    @_memo
     def sqrt_table(self) -> np.ndarray:
-        """Read-only table of x -> x^(1/2), GF(2)-linear like every
-        power of the Frobenius map."""
-        if "sqrt" not in self._derived:
-            tab = linear_table([self.sqrt_bits(1 << i)
-                                for i in range(self.degree)])
-            tab.flags.writeable = False
-            self._derived["sqrt"] = tab
-        return self._derived["sqrt"]
+        """Table of x -> x^(1/2), GF(2)-linear like every power of the
+        Frobenius map."""
+        return linear_table([self.sqrt_bits(1 << i)
+                             for i in range(self.degree)])
 
+    @_memo
     def gram_rows(self) -> list[int]:
         """Row bitmasks of the trace Gram matrix M[i][j] = tr(X^i * X^j),
         a Hankel matrix: row i is bits i..i+k-1 of t = sum_l tr(X^l) 2^l,
         where X^l (l <= 2k - 2) is the residue of the monomial 1 << l."""
-        if "gram" not in self._derived:
-            k = self.degree
-            t = sum(self.trace_bits(pmod(1 << l, self.modulus)) << l
-                    for l in range(2 * k - 1))
-            self._derived["gram"] = [t >> i & ((1 << k) - 1)
-                                     for i in range(k)]
-        return self._derived["gram"]
+        k = self.degree
+        t = sum(self.trace_bits(pmod(1 << l, self.modulus)) << l
+                for l in range(2 * k - 1))
+        return [t >> i & ((1 << k) - 1) for i in range(k)]
 
+    @_memo
     def pairing_table(self) -> np.ndarray:
         """Table of w -> M w for the trace Gram matrix M: the coordinate
         dot product (M w).x equals the field pairing tr(w x).  M is
         symmetric, so its rows are also the images of the basis."""
-        if "pairing" not in self._derived:
-            self._derived["pairing"] = linear_table(self.gram_rows())
-        return self._derived["pairing"]
+        return linear_table(self.gram_rows())
 
+    @_memo
     def dual_table(self) -> np.ndarray:
         """The inverse of pairing_table: entry a is the c with x -> tr(c x)
         of GF(2) functional a, the XOR of dual[j] over the set bits j of
         a.  The dual basis is checked on every basis pair first."""
-        if "dual" not in self._derived:
-            k = self.degree
-            pairing = self.pairing_table()
-            if np.bincount(pairing, minlength=self.order).max() != 1:
-                raise AssertionError("trace form is non-degenerate")
-            inverse = np.empty_like(pairing)
-            inverse[pairing] = np.arange(self.order)
-            for j, d in enumerate(inverse[1 << np.arange(k)].tolist()):
-                for i in range(k):
-                    if self.trace_bits(self.mul_bits(1 << i, d)) != (i == j):
-                        raise AssertionError("dual basis verification failed")
-            self._derived["dual"] = inverse
-        return self._derived["dual"]
+        k = self.degree
+        pairing = self.pairing_table()
+        if np.bincount(pairing, minlength=self.order).max() != 1:
+            raise AssertionError("trace form is non-degenerate")
+        inverse = np.empty_like(pairing)
+        inverse[pairing] = np.arange(self.order)
+        for j, d in enumerate(inverse[1 << np.arange(k)].tolist()):
+            for i in range(k):
+                if self.trace_bits(self.mul_bits(1 << i, d)) != (i == j):
+                    raise AssertionError("dual basis verification failed")
+        return inverse
 
     def dual_basis_bits(self) -> list[int]:
         """The trace-dual basis of 1, X, ..., X^(k-1): tr(X^i * dual[j])
         is 1 iff i == j.  Read off the inverse pairing table."""
         return self.dual_table()[1 << np.arange(self.degree)].tolist()
 
+    @_memo
     def hex_names(self) -> np.ndarray:
-        """Read-only object array of the names "0x..." of all elements in
-        bitmask order; indexing it with a table of bitmasks names the
-        whole table at once.  Holds 2^k strings once built."""
-        if "hex" not in self._derived:
-            names = np.array([f"0x{x:x}" for x in range(self.order)],
-                             dtype=object)
-            names.flags.writeable = False
-            self._derived["hex"] = names
-        return self._derived["hex"]
+        """Object array of the names "0x..." of all elements in bitmask
+        order; indexing it with a table of bitmasks names the whole table
+        at once.  Holds 2^k strings once built."""
+        return np.array([f"0x{x:x}" for x in range(self.order)],
+                        dtype=object)
 
     # -- element construction ---------------------------------------------
 
@@ -610,19 +611,16 @@ class Embedding:
                 f"GF(2^{small.degree}) does not embed in GF(2^{big.degree})")
         r = small.degree
         # p, the small modulus, is irreducible of degree r, so its roots
-        # lie in GF(2^r): p(c) = XOR of exp[i log c] over the set bits i
-        # of p, and the first zero in the sorted subfield is the smallest
+        # lie in GF(2^r): p(c) = XOR of c^i over the set bits i of p, and
+        # the first zero in the sorted subfield is the smallest
         cands = np.array(big.subfield_bits(r)[1:])
-        terms = [i for i in range(r + 1) if small.modulus >> i & 1]
-        values = np.bitwise_xor.reduce(big.exp_table[
-            np.multiply.outer(terms, big.log_table[cands]) % big.mult_order])
+        terms = [[i] for i in range(r + 1) if small.modulus >> i & 1]
+        values = np.bitwise_xor.reduce(big.table_pow(cands, terms))
         roots = np.flatnonzero(values == 0)
         if roots.size == 0:
             raise AssertionError("the small modulus splits in the big field")
         root = int(cands[roots[0]])
-        powers = [1]
-        for _ in range(r - 1):
-            powers.append(big.mul_bits(powers[-1], root))
+        powers = big.table_pow(root, np.arange(r)).tolist()
         table = linear_table(powers).tolist()
         for i in range(r):
             for j in range(r):
@@ -672,17 +670,10 @@ class Embedding:
         return y.field == self.big and bool(self._locate(y.bits)[1])
 
 
-_EMBED_CACHE: dict = {}
-
-
+@functools.cache
 def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
     """Cached Embedding factory."""
-    key = (small, big)
-    emb = _EMBED_CACHE.get(key)
-    if emb is None:
-        emb = Embedding(small, big)
-        _EMBED_CACHE[key] = emb
-    return emb
+    return Embedding(small, big)
 
 
 def unit_circle(field: FieldSpec) -> list[FieldElement]:

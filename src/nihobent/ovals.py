@@ -9,18 +9,19 @@ pair (f, g) and the one-parameter blend
 
 whose denominator never vanishes because tr(e) = 1; each term is
 GF(2)-linear in a table (f, g or x^(1/2)), so f_s is a composition of
-whole-table maps with no per-point loop.  The case-3 pair and explicit
-form are coefficient rows for bivariate.subiaco_shape on all of GF(2^m).
-Cases 1 and 2 are still evaluated point by point in FieldElement
-arithmetic, for a measured reason, not a mathematical one: the benchmark
-runner keeps a record per completed item, so their port onto the same
-kernel raised the survey benchmark's peak RSS by 11 to 30%, past its 10%
-bound; they follow once that memory no longer grows with throughput.
-The Adelaide catalog (m even) is defined through relative traces of a
-unit-circle element beta of GF(2^n), so it is evaluated inside the big
-field as whole-table expressions on the q embedded arguments (table_pow,
-table_mul, tr(z) = z + z^(2^m)) and projected back through the
-embedding's section.
+whole-table maps with no per-point loop.  Each base pair is built once
+per params object and kept on it.  The case-1 (w = 1) and case-3 pairs
+and explicit forms are coefficient rows for bivariate.subiaco_shape.
+Case 2 is still evaluated point by point in FieldElement arithmetic,
+for a measured reason, not a mathematical one: the benchmark runner
+keeps a record per completed item, and porting case 2 with case 1
+raised the survey benchmark's peak RSS by 23 to 25%, past its 10% bound
+(case 1 alone stayed within it); case 2 follows once that memory no
+longer grows with throughput.  The Adelaide catalog (m even) is defined
+through relative traces of a unit-circle element beta of GF(2^n), so it
+is evaluated inside the big field as whole-table expressions on the q
+embedded arguments (table_pow, table_mul, tr(z) = z + z^(2^m)) and
+projected back through the embedding's section.
 
 correspond_subiaco / correspond_adelaide run the whole pipeline.  Each
 branch derives its parameters (s, c0, c1, the catalog case) and builds
@@ -38,6 +39,7 @@ parameterizations are exposed (subiaco_fs vs subiaco_fs_explicit).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,14 +153,28 @@ def _square_plus_x(field: FieldSpec) -> np.ndarray:
                          for i in range(field.degree)])
 
 
+def _kept_on_params(build):
+    """build(p) once per params object p, kept on p as p._pair."""
+    @functools.wraps(build)
+    def kept(p):
+        if getattr(p, "_pair", None) is None:
+            object.__setattr__(p, "_pair", build(p))  # p may be frozen
+        return p._pair
+    return kept
+
+
+@_kept_on_params
 def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
     """The base pair (f, g) of the parameter set.  The denominators are
     irreducible quadratics over GF(2^m), so they never vanish."""
     field = p.field
     w = p.w
-    if p.case == 3:
+    x = np.arange(field.order)
+    if p.case == 1:
+        f = subiaco_shape(field, x, 1, [0, 0, 1, 1], 1)
+        g = subiaco_shape(field, x, 1, [1, 1, 0, 0], 1)
+    elif p.case == 3:
         k = w * w + w ** 5 + w.sqrt()
-        x = np.arange(field.order)
         c41, c32 = (w * w).bits, (w * w * (1 + w + w * w)).bits
         f = subiaco_shape(field, x, w.bits, [c41, c32, c32, c41], 1)
         g = subiaco_shape(field, x, w.bits,
@@ -166,24 +182,16 @@ def subiaco_pair(p: SubiacoParams) -> tuple[MappingTable, MappingTable]:
                            (w ** 3 * (1 + w * w + w ** 4) / k).bits, 0,
                            (w ** 3 * (1 + w * w) / k).bits],
                           (w.sqrt() / k).bits)
-        return MappingTable(field, f), MappingTable(field, g)
-    fe, ge = [], []
-    for xb in range(field.order):
-        x = field.el(xb)
-        sx = x.sqrt()
-        if p.case == 1:
-            den = x * x + x + 1
-            den2 = (den * den).inv()
-            fe.append(((x * x + x) * den2 + sx).bits)
-            ge.append(((x ** 4 + x ** 3) * den2 + sx).bits)
-        elif p.case == 2:
+    else:  # case 2 stays per point: see the module docstring
+        f, g = [], []
+        for xb in range(field.order):
+            x = field.el(xb)
+            sx = x.sqrt()
             den = x * x + w * x + 1
             den2 = (den * den).inv()
-            fe.append((x * x * (x * x + w * x + w) * den2
-                       + w * w * sx).bits)
-            ge.append((w * x * (x * x + x + w * w) * den2
-                       + w * w * sx).bits)
-    return MappingTable(field, fe), MappingTable(field, ge)
+            f.append((x * x * (x * x + w * x + w) * den2 + w * w * sx).bits)
+            g.append((w * x * (x * x + x + w * w) * den2 + w * w * sx).bits)
+    return MappingTable(field, f), MappingTable(field, g)
 
 
 def _blend(field: FieldSpec, f: MappingTable, g: MappingTable,
@@ -207,9 +215,11 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
     field = p.field
     s = _as_element(field, s)
     w, e = p.w, p.e
-    if p.case == 3:
+    if p.case != 2:
         # pref (w^2 ((1 + s w + w^2) x^4 + wsum^2 (s x^3 + x^2)
-        # + (s + w + s w^2) x) / (wsum den^2) + root x^(1/2))
+        # + (s + w + s w^2) x) / (wsum den^2) + root x^(1/2)); at
+        # w = e = 1 this is case 1's form, rows (s a, s a, a, a) for
+        # a = pref, and pref root = 1
         wsum = 1 + w + w * w
         pref = (e + e * s + s.sqrt()).inv()
         c = pref * w * w / wsum
@@ -219,22 +229,16 @@ def subiaco_fs_explicit(p: SubiacoParams, s) -> MappingTable:
             [(c * (1 + s * w + w * w)).bits, (c * wsum * wsum * s).bits,
              (c * wsum * wsum).bits, (c * (s + w + s * w * w)).bits],
             (pref * root).bits))
-    entries = []
+    # case 2 stays per point: see the module docstring
     a_div = (1 + e * s + s.sqrt()).inv()
-    if p.case == 1:
-        for xb in range(field.order):
-            x = field.el(xb)
-            den = x * x + x + 1
-            entries.append(((s * (x ** 4 + x ** 3) + x * x + x)
-                            * a_div / (den * den) + x.sqrt()).bits)
-    elif p.case == 2:
-        for xb in range(field.order):
-            x = field.el(xb)
-            den = x * x + w * x + 1
-            rat = (x ** 4 + w * (s * w + 1) * (x ** 3 + x * x)
-                   + s * w * x) / (den * den)
-            entries.append((a_div * (rat + (w * w + s + s.sqrt())
-                                     * x.sqrt())).bits)
+    entries = []
+    for xb in range(field.order):
+        x = field.el(xb)
+        den = x * x + w * x + 1
+        rat = (x ** 4 + w * (s * w + 1) * (x ** 3 + x * x)
+               + s * w * x) / (den * den)
+        entries.append((a_div * (rat + (w * w + s + s.sqrt())
+                                 * x.sqrt())).bits)
     return MappingTable(field, entries)
 
 
@@ -259,7 +263,8 @@ class AdelaideParams:
     tr(beta) and tr(beta^l) are nonzero for every admissible beta, and
     e = tr(beta^l)/tr(beta) + 1/tr(beta^l) + 1 has absolute trace 1."""
 
-    __slots__ = ("beta", "emb", "m", "l", "trb", "trbl", "e_big", "e")
+    __slots__ = ("beta", "emb", "m", "l", "trb", "trbl", "e_big", "e",
+                 "_pair")
 
     def __init__(self, beta: FieldElement, emb: Embedding):
         big = beta.field
@@ -308,6 +313,7 @@ def _trace_of_power(p: AdelaideParams, y: np.ndarray) -> np.ndarray:
     return z ^ p.beta.field.table_pow(z, 1 << p.m)
 
 
+@_kept_on_params
 def adelaide_pair(p: AdelaideParams) -> tuple[MappingTable, MappingTable]:
     """The Adelaide base pair (f, g), evaluated inside GF(2^n) on the
     embedded arguments and projected to GF(2^m).  The denominator

@@ -176,6 +176,33 @@ def oracle_blend(field, f, g, e, s):
             for x in range(field.order)]
 
 
+def oracle_subiaco1_pair(field):
+    """The Subiaco case-1 base pair (f, g) one point at a time with
+    FieldElement arithmetic; two lists of bitmasks."""
+    fe, ge = [], []
+    for xb in range(field.order):
+        x = field.el(xb)
+        sx = x.sqrt()
+        den = x * x + x + 1
+        den2 = (den * den).inv()
+        fe.append(((x * x + x) * den2 + sx).bits)
+        ge.append(((x ** 4 + x ** 3) * den2 + sx).bits)
+    return fe, ge
+
+
+def oracle_subiaco1_explicit(field, s):
+    """The published case-1 explicit rational form (e = 1) at s, one
+    point at a time with FieldElement arithmetic."""
+    a_div = (1 + s + s.sqrt()).inv()
+    entries = []
+    for xb in range(field.order):
+        x = field.el(xb)
+        den = x * x + x + 1
+        entries.append(((s * (x ** 4 + x ** 3) + x * x + x)
+                        * a_div / (den * den) + x.sqrt()).bits)
+    return entries
+
+
 def oracle_subiaco3_pair(field, w):
     """The Subiaco case-3 base pair (f, g) one point at a time with
     FieldElement arithmetic; two lists of bitmasks."""

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import nihobent
-from nihobent import cli
+from nihobent import boolfn, cli
 from nihobent.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nihobent.__file__)))
@@ -55,6 +55,32 @@ def test_check_zero_function(tmp_path, capsys):
     assert doc["verdicts"]["bent"] is False
     assert doc["verdicts"]["degree"] == 0
     assert doc["outputs"]["spectrum_summary"]["max"] == 4
+
+
+def test_check_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
+    # the bent verdict is read off the reported spectrum, so check does
+    # one butterfly; a one-point flip must still read False
+    table = tmp_path / "f.tt"
+    assert main(["build", "--family", "binomial3", "--m", "3", "--b",
+                 "0x5", "--out", str(table)]) == 0
+    n, bits = table.read_text().split()
+    flipped = tmp_path / "g.tt"
+    flipped.write_text(f"{n}\n{'10'[int(bits[0])]}{bits[1:]}\n")
+    odd = tmp_path / "odd.tt"
+    odd.write_text("n=3\n01101001\n")
+    real = boolfn._walsh_butterfly
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+    monkeypatch.setattr(boolfn, "_walsh_butterfly", counted)
+    capsys.readouterr()
+    for path, bent in ((table, True), (flipped, False), (odd, None)):
+        calls.clear()
+        code, doc = run(capsys, "check", str(path))
+        assert code == 0 and doc["verdicts"]["bent"] is bent
+        assert len(calls) == 1
 
 
 def test_output_is_deterministic(capsys):

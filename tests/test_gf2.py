@@ -11,9 +11,9 @@ from conftest import (oracle_dual_basis, oracle_embedding_table,
                       oracle_mul, oracle_mul_array, oracle_pow,
                       oracle_rel_trace, oracle_subfield_bits, oracle_trace,
                       oracle_trace_table)
-from nihobent import (GF, Embedding, FieldMismatchError, default_modulus,
-                      embed_subfield, linear_table, unit_circle,
-                      unit_circle_element)
+from nihobent import (GF, Embedding, FieldMismatchError, FieldSpec,
+                      default_modulus, embed_subfield, linear_table,
+                      unit_circle, unit_circle_element)
 
 GF8 = GF(3, 0xB)
 GF16 = GF(4)
@@ -185,12 +185,15 @@ def test_linear_table_int_and_array_images():
 @pytest.mark.parametrize("k", range(1, 21))
 def test_table_kernels_match_oracles(k):
     F = GF(k)
+    # scalar ops index zero-copy views of the arrays, at every degree
+    assert np.shares_memory(np.asarray(F._exp), F.exp_table)
+    assert np.shares_memory(np.asarray(F._log), F.log_table)
     if k > 16:
         _check_large_tables(F)
         return
     exp, log = oracle_exp_log(F)
-    assert F.exp_table.tolist() == exp and F._exp == exp
-    assert F.log_table.tolist() == log and F._log == log
+    assert F.exp_table.tolist() == exp and F._exp.tolist() == exp
+    assert F.log_table.tolist() == log and F._log.tolist() == log
     for c in (F.generator, 1 << (k - 1), F.order - 1):
         assert F.table_mul(c, np.arange(F.order)).tolist() == \
             [oracle_mul(c, x, F.modulus, k) for x in range(F.order)]
@@ -209,6 +212,25 @@ def test_sqrt_table_squares_back(k):
     assert F.sqrt_table() is tab and not tab.flags.writeable
 
 
+def test_cached_tables_are_read_only():
+    # a write into a shared table would corrupt every later caller (the
+    # Walsh reindex reads pairing_table), so each one refuses it; a fresh
+    # spec keeps a failure here from leaking into the GF() cache
+    F = FieldSpec(6)
+    tables = {"exp": F.exp_table, "log": F.log_table,
+              "pairing": F.pairing_table(), "dual": F.dual_table(),
+              "trace": F.subfield_trace_table(3), "sqrt": F.sqrt_table(),
+              "hex": F.hex_names()}
+    for name, tab in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            tab[1] = tab[0]
+    assert F._exp.readonly and F._log.readonly
+    assert F.pairing_table() is tables["pairing"]
+    # the subfield and Gram rows stay plain lists
+    assert isinstance(F.subfield_bits(3), list)
+    assert isinstance(F.gram_rows(), list)
+
+
 def _check_large_tables(F):
     """The per-point oracles are too slow above degree 16: the exp/log
     pair is checked whole by vectorized schoolbook products, the derived
@@ -221,9 +243,6 @@ def _check_large_tables(F):
     assert np.array_equal(oracle_mul_array(exp, F.generator, mod, k),
                           np.roll(exp, -1))
     assert np.array_equal(log[exp], np.arange(F.mult_order))
-    # scalar ops index zero-copy views, not list copies
-    assert np.shares_memory(np.asarray(F._exp), exp)
-    assert np.shares_memory(np.asarray(F._log), log)
     points = np.arange(F.order)
     for c in (F.generator, 1 << (k - 1), F.order - 1):
         assert np.array_equal(F.table_mul(c, points),

@@ -1,6 +1,7 @@
 """Hyperoval catalog members and bent-to-catalog correspondences."""
 
 import re
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (oracle_adelaide_f1_display, oracle_adelaide_pair,
                       oracle_blend, oracle_frobenius, oracle_is_opoly,
-                      oracle_mul, oracle_subiaco3_explicit,
+                      oracle_mul, oracle_subiaco1_explicit,
+                      oracle_subiaco1_pair, oracle_subiaco3_explicit,
                       oracle_subiaco3_pair)
 from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
                       MappingTable, SubiacoParams, VerificationError,
@@ -186,6 +188,72 @@ def test_case_iii_tables_match_scalar_oracles(data):
         oracle_subiaco3_explicit(field, w, p.e, s)
     assert list(subiaco_fs(p, s).entries) == oracle_blend(
         field, MappingTable(field, fe), MappingTable(field, ge), p.e, s)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_case_i_tables_match_scalar_oracles(data):
+    m = data.draw(st.sampled_from([1, 3, 5, 7, 9]))
+    field = GF(m)
+    s = field.el(data.draw(st.integers(0, field.order - 1)))
+    p = SubiacoParams.case_i(field)
+    f, g = subiaco_pair(p)
+    fe, ge = oracle_subiaco1_pair(field)
+    assert list(f.entries) == fe and list(g.entries) == ge
+    assert list(subiaco_fs_explicit(p, s).entries) == \
+        oracle_subiaco1_explicit(field, s)
+    assert list(subiaco_fs(p, s).entries) == oracle_blend(
+        field, MappingTable(field, fe), MappingTable(field, ge), p.e, s)
+
+
+@pytest.mark.parametrize("s", [0x0, 0x1, 0x6])
+def test_case_i_blend_rejects_swapped_explicit(monkeypatch, s):
+    # negative control: an explicit form with two entries swapped must
+    # fail the blend-versus-explicit check of every subiaco_fs call
+    p = SubiacoParams.case_i(GF8)
+    true_explicit = ovals.subiaco_fs_explicit
+
+    def swapped(params, t):
+        entries = list(true_explicit(params, t).entries)
+        entries[2], entries[5] = entries[5], entries[2]
+        return MappingTable(GF8, entries)
+    monkeypatch.setattr(ovals, "subiaco_fs_explicit", swapped)
+    with pytest.raises(InternalCheckError, match=re.escape(
+            f"blend and explicit f_s disagree (case 1, s = 0x{s:x})")):
+        subiaco_fs(p, GF8.el(s))
+
+
+def test_blends_build_each_pair_once_per_params(monkeypatch):
+    # the pair is kept on the params object: later blends reuse it, a
+    # new params object builds its own
+    calls = Counter()
+
+    def counted(name):
+        true_fn = getattr(ovals, name)
+
+        def fn(*args):
+            calls[name] += 1
+            return true_fn(*args)
+        monkeypatch.setattr(ovals, name, fn)
+    counted("subiaco_shape")
+    counted("_adelaide_points")
+    p = SubiacoParams.case_i(GF8)
+    first = subiaco_fs(p, GF8.el(3))
+    assert calls["subiaco_shape"] == 3  # f, g and the explicit form
+    assert subiaco_fs(p, GF8.el(3)) == first
+    assert calls["subiaco_shape"] == 4  # the explicit form only
+    assert subiaco_pair(p) is subiaco_pair(p)
+    assert calls["subiaco_shape"] == 4
+    subiaco_fs(SubiacoParams.case_i(GF8), GF8.el(3))
+    assert calls["subiaco_shape"] == 7
+    small, big = GF(4), GF(8)
+    q = AdelaideParams(unit_circle(big)[5], embed_subfield(small, big))
+    first = adelaide_fs(q, small.el(6))
+    assert calls["_adelaide_points"] == 1
+    assert adelaide_fs(q, small.el(6)) == first
+    assert adelaide_fs(q, small.el(7)) != first
+    assert calls["_adelaide_points"] == 1
+    assert adelaide_pair(q) is adelaide_pair(q)
 
 
 def test_table_product_matches_schoolbook():
