@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .boolfn import TruthTable, line_forms
 from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
@@ -294,11 +294,13 @@ def is_opolynomial(g: MappingTable) -> bool:
     here as a guard.  Accepts m <= 16, a bound by time."""
     field = g.field
     check_opoly_degree(field.degree)
-    exp = field.exp_table
     q = field.order
     entries = g.array()
-    g_log = entries[exp]
-    windows = sliding_window_view(np.concatenate([exp, exp[:-1]]), q - 1)
+    g_log = entries[field.exp_table]
+    # row b of the windows is g^(b + j), j < q - 1: exp_cycle[b:b + q - 1]
+    cycle = field.exp_cycle
+    windows = as_strided(cycle, shape=(q - 1, q - 1),
+                         strides=cycle.strides * 2, writeable=False)
     rows = max(1, min(q - 1, _OPOLY_BLOCK // q))
     # row b (beta = g^b) is G(0), then G(g^j) + g^(b + j) for j < q - 1;
     # offsetting row r by r q lets one bincount count every row's fibers.

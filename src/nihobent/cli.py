@@ -210,9 +210,9 @@ def _opoly_table(args) -> tuple[MappingTable, dict]:
         if not isinstance(data, list):
             raise ValueError("a mapping-table file holds a JSON array")
         size = len(data)
-        m = size.bit_length() - 1
-        if size != 1 << m:
+        if size == 0 or size & (size - 1):
             raise ValueError(f"table length {size} is not a power of 2")
+        m = size.bit_length() - 1
         field = _field(m, args.modulus)
         check_opoly_degree(m)
         table = MappingTable.from_json(field, data)

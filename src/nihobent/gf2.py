@@ -18,14 +18,16 @@ Whole-field tables are GF(2)-linear maps of the bitmask, built as numpy
 arrays by one kernel, linear_table, from their k basis images (computed
 with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
 operations.  The exp/log pair is doubled the same way through the
-multiply-by-g^(2^i) tables at construction, for every degree; scalar mul,
-pow, inv and sqrt index it in O(1) through memoryviews, and table_mul,
-table_inv and table_pow apply the same arithmetic entrywise to bitmask
-arrays, with the zero entry (log[0] = -1) masked for their callers;
-table_mul(c, t) is also the one way to multiply a table by a constant.
-The pair takes 2^(k+4) bytes, 16 MiB at the degree cap k = 20.  Every
-table a FieldSpec holds or caches is read-only and a pure function of
-it, so instances can be shared freely across threads.
+multiply-by-g^(2^i) tables at construction, for every degree.  exp is
+stored twice over and then a 0 that log[0] points at, so a product is
+one gather at log a + log b with no modulo and no zero mask; scalar
+mul, pow, inv and sqrt index the pair in O(1) through memoryviews, and
+table_mul, table_inv and table_pow apply the same arithmetic entrywise
+to bitmask arrays.  table_mul(c, t) is also
+the one way to multiply a table by a constant.  The pair takes
+3 * 2^(k+3) bytes, 24 MiB at the degree cap k = 20.  Every table a
+FieldSpec holds or caches is read-only and a pure function of it, so
+instances can be shared freely across threads.
 
 The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
 Gram matrix M on the polynomial basis (a Hankel matrix of the traces of
@@ -164,14 +166,20 @@ class FieldSpec:
     Prefer the GF() factory, which caches constructed specs.  Two specs
     compare equal iff degree, modulus and generator all agree.
 
-    exp_table[j] = g^j (j < 2^k - 1) and log_table[x] (log_table[0] = -1)
-    are read-only int64 numpy arrays; table_mul, table_inv and table_pow
-    are the whole-table arithmetic on them, and scalar operations index
-    the same arrays through the memoryviews _exp and _log.
+    With n = 2^k - 1, exp_table[j] = g^j (j < n) and log_table[x] are
+    read-only int64 numpy arrays.  log_table[x] < n for x != 0, and
+    log_table[0] = 2n is a sentinel, not a logarithm.  exp_table is the
+    first n entries of exp_cycle = [exp, exp, 0], of length 2n + 1: the
+    log sum of two nonzero entries (at most 2n - 2) indexes it with no
+    reduction, and a sum with the sentinel in it clips onto the
+    trailing 0.  table_mul, table_inv and table_pow are the whole-table
+    arithmetic on them, and scalar operations index the same arrays
+    through the memoryviews _exp (of exp_cycle) and _log.
     """
 
     __slots__ = ("degree", "modulus", "generator", "order", "mult_order",
-                 "exp_table", "log_table", "_exp", "_log", "_derived")
+                 "exp_table", "log_table", "exp_cycle", "_exp", "_log",
+                 "_derived")
 
     def __init__(self, degree: int, modulus: int | None = None,
                  generator: int | None = None):
@@ -238,9 +246,10 @@ class FieldSpec:
 
     def _build_tables(self):
         """exp[j] = g^j by doubling: exp[h:2h] = g^h * exp[:h], through
-        the multiply-by-g^h table, for h = 1, 2, 4, ..., 2^(k-1)."""
+        the multiply-by-g^h table, for h = 1, 2, 4, ..., 2^(k-1); then
+        the second copy, the trailing 0 and the log[0] sentinel."""
         n = self.mult_order
-        exp = np.empty(self.order, dtype=np.int64)
+        exp = np.empty(2 * n + 1, dtype=np.int64)
         exp[0] = 1
         c = self.generator
         h = 1
@@ -252,36 +261,35 @@ class FieldSpec:
             h *= 2
         if exp[n] != 1:
             raise AssertionError("generator order check failed")
+        exp[n:2 * n] = exp[:n]
+        exp[2 * n] = 0
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
         if (log[1:] < 0).any():
             raise AssertionError(
                 "exp table is not a permutation of the nonzero elements")
+        log[0] = 2 * n
         exp.flags.writeable = log.flags.writeable = False
-        self.exp_table = exp[:n]
-        self.log_table = log
-        self._exp, self._log = memoryview(self.exp_table), memoryview(log)
+        self.exp_cycle, self.exp_table, self.log_table = exp, exp[:n], log
+        self._exp, self._log = memoryview(exp), memoryview(log)
 
     # -- whole-table arithmetic (bitmask arrays in, int64 arrays out) ------
 
     def table_mul(self, a, b) -> np.ndarray:
         """Entrywise product of two tables, or of a table and a scalar
-        bitmask, through exp/log; an entry is 0 wherever a factor is 0."""
-        a, b = np.asarray(a), np.asarray(b)
-        idx = self.log_table[a] + self.log_table[b]
-        idx %= self.mult_order
-        out = self.exp_table[idx]
-        out *= (a != 0) & (b != 0)
-        return out
+        bitmask: one gather at log a + log b, which the zero sentinel
+        clips onto 0 wherever a factor is 0."""
+        return self.exp_cycle.take(self.log_table[a] + self.log_table[b],
+                                   mode="clip")
 
     def table_inv(self, a) -> np.ndarray:
-        """Entrywise inverse.  A zero entry raises: exp[-log[0]] would be
-        the generator, not an error."""
+        """Entrywise inverse, g^(n - log a).  A zero entry raises: the
+        sentinel would index exp[n - 2n], the generator, not an error."""
         a = np.asarray(a)
-        if not a.all():
+        if np.count_nonzero(a) < a.size:
             raise InternalCheckError(
                 f"division by zero at x = 0x{np.flatnonzero(a == 0)[0]:x}")
-        return self.exp_table[-self.log_table[a] % self.mult_order]
+        return self.exp_cycle[self.mult_order - self.log_table[a]]
 
     def table_pow(self, a, e) -> np.ndarray:
         """Entrywise a**e for e >= 0 (an int or an array), with 0**0 = 1
@@ -303,7 +311,7 @@ class FieldSpec:
     def mul_bits(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % self.mult_order]
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow_bits(self, a: int, e: int) -> int:
         """a**e with 0**0 = 1; the exponent of a nonzero base is reduced
@@ -319,7 +327,7 @@ class FieldSpec:
     def inv_bits(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self.pow_bits(a, self.order - 2)
+        return self._exp[self.mult_order - self._log[a]]
 
     def sqrt_bits(self, a: int) -> int:
         """The unique square root: squaring is a field automorphism."""

@@ -179,6 +179,16 @@ def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
     assert "hex strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_opoly_file_rejects_bad_lengths(tmp_path, capsys, size):
+    # the empty table is refused like any other length, not by a shift
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(["0x0"] * size))
+    assert main(["opoly", "--source", "file", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: table length {size} is not a power of 2\n"
+
+
 def test_opoly_swapped_file_negative_control(tmp_path, capsys):
     # the Subiaco g of GF(32) with G(2) and G(3) swapped: still a
     # permutation, no longer an o-polynomial

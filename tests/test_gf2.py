@@ -12,8 +12,8 @@ from conftest import (oracle_dual_basis, oracle_embedding_table,
                       oracle_rel_trace, oracle_subfield_bits, oracle_trace,
                       oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, FieldSpec,
-                      default_modulus, embed_subfield, linear_table,
-                      unit_circle, unit_circle_element)
+                      InternalCheckError, default_modulus, embed_subfield,
+                      linear_table, unit_circle, unit_circle_element)
 
 GF8 = GF(3, 0xB)
 GF16 = GF(4)
@@ -192,14 +192,64 @@ def test_table_kernels_match_oracles(k):
         _check_large_tables(F)
         return
     exp, log = oracle_exp_log(F)
-    assert F.exp_table.tolist() == exp and F._exp.tolist() == exp
-    assert F.log_table.tolist() == log and F._log.tolist() == log
+    # exp is stored as [exp, exp, 0]; log[0] is the sentinel 2(q - 1)
+    # that indexes the trailing 0, and every nonzero log is compared
+    assert F.exp_table.tolist() == exp
+    assert F._exp.tolist() == exp + exp + [0]
+    assert F.log_table[1:].tolist() == log[1:] == F._log.tolist()[1:]
+    assert F.log_table[0] == F._log[0] == 2 * F.mult_order
     for c in (F.generator, 1 << (k - 1), F.order - 1):
         assert F.table_mul(c, np.arange(F.order)).tolist() == \
             [oracle_mul(c, x, F.modulus, k) for x in range(F.order)]
     for r in (d for d in range(1, k + 1) if k % d == 0):
         assert F.subfield_bits(r) == oracle_subfield_bits(F, r)
         assert F.subfield_trace_table(r).tolist() == oracle_trace_table(F, r)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_table_mul_all_pairs_match_oracle(k):
+    # all q^2 products, zero operands included, also through mul_bits
+    F = GF(k)
+    x = np.arange(F.order)
+    prod = F.table_mul(x[:, None], x)
+    assert np.array_equal(prod,
+                          oracle_mul_array(x[:, None], x, F.modulus, k))
+    assert prod.tolist() == [[F.mul_bits(a, b) for b in range(F.order)]
+                             for a in range(F.order)]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_table_mul_sentinel_boundaries(k):
+    # the largest log sum of two nonzero entries, 2(q - 2), reads the
+    # last entry of the second exp copy; a zero factor lands on or past
+    # the sentinel and must read 0
+    F = GF(k)
+    top = int(F.exp_table[-1])
+    pairs = np.array([(0, 0), (0, top), (top, 0), (top, top)])
+    got = F.table_mul(pairs[:, 0], pairs[:, 1])
+    assert got.tolist() == [oracle_mul(a, b, F.modulus, k)
+                            for a, b in pairs.tolist()]
+    assert got.tolist() == [F.mul_bits(a, b) for a, b in pairs.tolist()]
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_table_inv_matches_oracle(k):
+    F = GF(k)
+    x = np.arange(1, F.order)
+    inv = F.table_inv(x)
+    assert (oracle_mul_array(x, inv, F.modulus, k) == 1).all()
+    sample = x[::max(1, len(x) >> 8)].tolist()
+    assert [F.inv_bits(v) for v in sample] == \
+        inv[np.array(sample) - 1].tolist()
+    with pytest.raises(ZeroDivisionError):
+        F.inv_bits(0)
+    # a zero entry, or a scalar zero, raises and names its position
+    bad = np.concatenate([x, [0, 0]])
+    with pytest.raises(InternalCheckError,
+                       match=f"division by zero at x = 0x{len(x):x}$"):
+        F.table_inv(bad)
+    with pytest.raises(InternalCheckError, match="at x = 0x0$"):
+        F.table_inv(0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 16, 20])
@@ -217,7 +267,7 @@ def test_cached_tables_are_read_only():
     # Walsh reindex reads pairing_table), so each one refuses it; a fresh
     # spec keeps a failure here from leaking into the GF() cache
     F = FieldSpec(6)
-    tables = {"exp": F.exp_table, "log": F.log_table,
+    tables = {"exp": F.exp_table, "cycle": F.exp_cycle, "log": F.log_table,
               "pairing": F.pairing_table(), "dual": F.dual_table(),
               "trace": F.subfield_trace_table(3), "sqrt": F.sqrt_table(),
               "hex": F.hex_names()}
@@ -239,7 +289,8 @@ def _check_large_tables(F):
     exp, log = F.exp_table, F.log_table
     # exp[0] = 1 and exp[j + 1] = exp[j] g (cyclically) give exp[j] = g^j;
     # log[exp[j]] = j then makes exp a permutation of the nonzero elements
-    assert exp[0] == 1 and log[0] == -1
+    assert exp[0] == 1 and log[0] == 2 * F.mult_order
+    assert np.array_equal(np.asarray(F._exp), np.concatenate([exp, exp, [0]]))
     assert np.array_equal(oracle_mul_array(exp, F.generator, mod, k),
                           np.roll(exp, -1))
     assert np.array_equal(log[exp], np.arange(F.mult_order))

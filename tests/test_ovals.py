@@ -269,7 +269,8 @@ def test_table_inverse_rejects_zero():
     inv = field.table_inv(np.arange(1, field.order))
     assert [oracle_mul(x, y, field.modulus, 5)
             for x, y in enumerate(inv.tolist(), 1)] == [1] * 31
-    # exp[-log[0]] would read the generator instead of failing
+    # the zero sentinel would read exp[n - 2n], the generator, instead
+    # of failing
     with pytest.raises(InternalCheckError, match="division by zero at "
                        "x = 0x2"):
         field.table_inv(np.array([3, 7, 0, 5]))
