@@ -19,16 +19,23 @@ gf2 owns) turns each functional into the field element it pairs with, so
 a successful return is a proof that the table is in the class described
 above.
 
-is_opolynomial tests the 2-to-1 property for every beta != 0 on whole
+is_opolynomial checks that G is a permutation first, since every
+o-polynomial is one, and then tests the 2-to-1 property on whole
 tables: with G in discrete-log order, Gl[j] = G(g^j), the values
 G(g^j) + g^b g^j = Gl[j] ^ exp[(b + j) mod (q - 1)] of beta = g^b form a
 window of the doubled exp table, so no q x q table is built.  Blocks of
 about 2^14 values are counted by one bincount each, which keeps the
-working set to a few hundred KiB.  The work is still O(q^2), so the test
-accepts m <= 16 only: a bound by time (about 20 s at m = 16), not by
-memory.  g_from_h, opoly_normalize, is_permutation and is_two_to_one
-are whole-table numpy expressions too, on the read-only int64 array that
-a MappingTable stores.
+working set to a few hundred KiB.  Only one row per class of beta is
+counted: when h = G + G(0) is a monomial a z^d, scaling z by c carries
+the row of beta onto that of beta c^(1-d), so the r = gcd(d - 1, q - 1)
+rows b < r decide, and the test costs O(q r).  r is 1 for z^(2^i) with
+gcd(i, m) = 1 (0.05 ms at m = 11, 1.4 ms at m = 16) and q - 1 for every
+table without the symmetry, such as each Subiaco and Adelaide member
+(13 ms at m = 11, 0.9 s at m = 14, 18 s at m = 16).  That full scan is
+why the test accepts m <= 16 only: a bound by time, not by memory.
+g_from_h, opoly_normalize, is_permutation and is_two_to_one are
+whole-table numpy expressions too, on the read-only int64 array that a
+MappingTable stores.
 
 closed_form_g evaluates, for the s=3 binomial family, the algebraic
 expression of G obtained by expanding (u + v z)^d directly; comparing it
@@ -40,9 +47,9 @@ is c plus subiaco_shape, the kernel of the Subiaco case-3 forms too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .boolfn import TruthTable, line_forms
 from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
@@ -274,8 +281,8 @@ def is_two_to_one(t: MappingTable) -> bool:
 # the block's values, offset G rows and fiber counts to a few hundred KiB
 _OPOLY_BLOCK = 1 << 14
 
-# the test does O(q^2) work, about 20 s at m = 16 on a 2-core Xeon; larger
-# m is refused rather than left to run for minutes
+# the full scan does O(q^2) work, about 18 s at m = 16 on a 2-core Xeon;
+# larger m is refused rather than left to run for minutes
 _OPOLY_M_MAX = 16
 
 
@@ -288,20 +295,47 @@ def check_opoly_degree(m: int) -> None:
             f"work); got m = {m}")
 
 
+def _scan_rows(g: MappingTable) -> int:
+    """How many beta rows decide the o-polynomial test for a permutation
+    G: r = gcd(d - 1, q - 1) when h = G + G(0) is a monomial a z^d, and
+    q - 1 otherwise.  h(c z) + beta c z = c^d (h(z) + beta c^(1-d) z),
+    so the rows of beta and beta c^(1-d) have the same fibers, and the
+    rows g^b with b < r meet every class.  h is a monomial exactly when
+    h(g z) = g^d h(z) for every z, with g^d = h(g) / h(1); three
+    lookups rule most tables out before the whole-table comparison."""
+    field = g.field
+    n = field.mult_order
+    entries = g.array()
+    gen, h0 = field.generator, entries.item(0)
+    h1, hg, hg2 = (entries.item(z) ^ h0
+                   for z in (1, gen, field.mul_bits(gen, gen)))
+    if field.mul_bits(hg, hg) != field.mul_bits(h1, hg2):
+        return n
+    step = field.mul_bits(hg, field.inv_bits(h1))
+    h_log = entries[field.exp_table] ^ h0
+    if not np.array_equal(h_log[1:], field.table_mul(step, h_log[:-1])):
+        return n
+    return gcd(int(field.log_table[step]) - 1, n)
+
+
 def is_opolynomial(g: MappingTable) -> bool:
     """Whether z -> G(z) + beta z is 2-to-1 for every beta != 0.  That
-    property forces G itself to be a permutation, which is re-checked
-    here as a guard.  Accepts m <= 16, a bound by time."""
+    property forces G itself to be a permutation, so a table that is
+    not one is rejected before any row is counted.  When G + G(0) is a
+    monomial a z^d, one row per class of beta is counted, r = gcd(d - 1,
+    q - 1) rows in all (see _scan_rows), and all q - 1 otherwise: O(q r)
+    work.  Accepts m <= 16 even for monomials, a bound set by the full
+    scan's time."""
     field = g.field
     check_opoly_degree(field.degree)
+    if not is_permutation(g):
+        return False
     q = field.order
     entries = g.array()
     g_log = entries[field.exp_table]
     # row b of the windows is g^(b + j), j < q - 1: exp_cycle[b:b + q - 1]
-    cycle = field.exp_cycle
-    windows = as_strided(cycle, shape=(q - 1, q - 1),
-                         strides=cycle.strides * 2, writeable=False)
-    rows = max(1, min(q - 1, _OPOLY_BLOCK // q))
+    windows = field.exp_windows()[:_scan_rows(g)]
+    rows = max(1, min(len(windows), _OPOLY_BLOCK // q))
     # row b (beta = g^b) is G(0), then G(g^j) + g^(b + j) for j < q - 1;
     # offsetting row r by r q lets one bincount count every row's fibers.
     # Both terms are below q, so (a ^ b) + r q = a ^ (b | r q): the offset
@@ -310,16 +344,12 @@ def is_opolynomial(g: MappingTable) -> bool:
     g_rows = g_log | offsets
     block = np.empty((rows, q), dtype=entries.dtype)
     block[:, :1] = entries[0] | offsets
-    for start in range(0, q - 1, rows):
+    for start in range(0, len(windows), rows):
         win = windows[start:start + rows]
         vals = block[:len(win)]
         np.bitwise_xor(win, g_rows[:len(win)], out=vals[:, 1:])
         if not _fibers_all_two(vals, vals.size):
             return False
-    if not is_permutation(g):
-        raise InternalCheckError(
-            "2-to-1 condition held for every beta but the map is not a "
-            "permutation")
     return True
 
 

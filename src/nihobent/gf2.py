@@ -23,8 +23,9 @@ stored twice over and then a 0 that log[0] points at, so a product is
 one gather at log a + log b with no modulo and no zero mask; scalar
 mul, pow, inv and sqrt index the pair in O(1) through memoryviews, and
 table_mul, table_inv and table_pow apply the same arithmetic entrywise
-to bitmask arrays.  table_mul(c, t) is also
-the one way to multiply a table by a constant.  The pair takes
+to bitmask arrays.  table_mul(c, t) is also the one way to multiply a
+table by a constant, and exp_windows is a cached strided view of
+exp_cycle whose rows are its windows of length 2^k - 1.  The pair takes
 3 * 2^(k+3) bytes, 24 MiB at the degree cap k = 20.  Every table a
 FieldSpec holds or caches is read-only and a pure function of it, so
 instances can be shared freely across threads.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "FieldMismatchError",
@@ -391,6 +393,16 @@ class FieldSpec:
         Frobenius map."""
         return linear_table([self.sqrt_bits(1 << i)
                              for i in range(self.degree)])
+
+    @_memo
+    def exp_windows(self) -> np.ndarray:
+        """Read-only (n, n) view of exp_cycle whose row b is
+        exp_cycle[b:b + n], that is g^(b + j) for j < n, with
+        n = 2^k - 1; a strided view, so it holds no copy."""
+        n = self.mult_order
+        return as_strided(self.exp_cycle, shape=(n, n),
+                          strides=self.exp_cycle.strides * 2,
+                          writeable=False)
 
     @_memo
     def gram_rows(self) -> list[int]:

@@ -590,6 +590,12 @@ def table_from_function(field, fn):
                                 for z in range(field.order)])
 
 
+def monomial(field, a, d, c):
+    """Entries of z -> a z^d + c over field, with 0^0 = 1."""
+    return (field.table_mul(a, field.table_pow(np.arange(field.order), d))
+            ^ c).tolist()
+
+
 def truth_table_from_function(n, fn):
     """TruthTable of fn(x) & 1 over the bitmasks x of n bits."""
     from nihobent import TruthTable

@@ -3,12 +3,13 @@ closed forms and small-field trace identities."""
 
 import random
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (bent_or_mutated, oracle_closed_form_g,
+from conftest import (bent_or_mutated, monomial, oracle_closed_form_g,
                       oracle_closed_form_g_circle, oracle_extract,
                       oracle_extract_h_mu, oracle_g_from_h, oracle_is_opoly,
                       oracle_is_permutation, oracle_normalize,
@@ -22,7 +23,8 @@ from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       is_opolynomial, is_permutation, is_two_to_one,
                       opoly_normalize, subiaco_fs, subiaco_pair,
                       to_bivariate, unit_circle, verify_trace_identities)
-from nihobent.bivariate import _project
+from nihobent import bivariate
+from nihobent.bivariate import _fibers_all_two, _project
 from nihobent.boolfn import TruthTable
 from nihobent.gf2 import FieldElement, FieldSpec
 
@@ -254,11 +256,12 @@ def catalog_member(m, data):
 
 def field_tables(m, data):
     """Entries of a random table, a random permutation, a Frobenius map
-    z^(2^i) with i <= 2m, a catalog member, or a catalog member with two
-    entries swapped."""
+    z^(2^i) with i <= 2m, a monomial a z^d + c, a catalog member, or a
+    monomial or catalog member with two entries swapped."""
     S = GF(m)
     kind = data.draw(st.sampled_from(
-        ["random", "permutation", "frobenius", "catalog", "swapped"]))
+        ["random", "permutation", "frobenius", "monomial",
+         "monomial_swapped", "catalog", "swapped"]))
     if kind == "random":
         return data.draw(st.lists(st.integers(0, S.order - 1),
                                   min_size=S.order, max_size=S.order))
@@ -267,8 +270,13 @@ def field_tables(m, data):
     if kind == "frobenius":
         return list(frobenius_map(S, data.draw(st.integers(0, 2 * m)))
                     .entries)
-    entries = list(catalog_member(m, data).entries)
-    if kind == "swapped":
+    if kind.startswith("monomial"):
+        entries = monomial(S, data.draw(st.integers(1, S.order - 1)),
+                           data.draw(st.integers(0, S.order)),
+                           data.draw(st.integers(0, S.order - 1)))
+    else:
+        entries = list(catalog_member(m, data).entries)
+    if kind.endswith("swapped"):
         a, b = data.draw(st.lists(st.integers(0, S.order - 1), min_size=2,
                                   max_size=2, unique=True))
         entries[a], entries[b] = entries[b], entries[a]
@@ -281,6 +289,68 @@ def test_opoly_kernel_matches_oracle(m, data):
     entries = field_tables(m, data)
     assert is_opolynomial(MappingTable(S, entries)) \
         == oracle_is_opoly(entries, S)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_every_monomial_matches_oracle(m):
+    # every exponent d < q, scaled and shifted, and the same table with
+    # one transposition, against the per-point definition
+    S = GF(m)
+    rng = random.Random(m)
+    for d in range(S.order):
+        entries = monomial(S, rng.randrange(1, S.order), d,
+                           rng.randrange(S.order))
+        swapped = list(entries)
+        a, b = rng.sample(range(S.order), 2)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        for t in (entries, swapped):
+            assert is_opolynomial(MappingTable(S, t)) \
+                == oracle_is_opoly(t, S), (m, d, t)
+
+
+def _rows_scanned(monkeypatch, g):
+    """is_opolynomial(g) and the number of beta rows whose fibers it
+    counted."""
+    rows = []
+
+    def spy(values, size):
+        rows.append(len(values))
+        return _fibers_all_two(values, size)
+
+    monkeypatch.setattr(bivariate, "_fibers_all_two", spy)
+    return is_opolynomial(g), sum(rows)
+
+
+def test_one_row_per_beta_class(monkeypatch):
+    S = GF(11)
+    assert _rows_scanned(monkeypatch, frobenius_map(S, 1)) == (True, 1)
+    # z -> z^(2^i) with gcd(i, m) > 1 is rejected within its 2^gcd - 1 rows
+    S = GF(10)
+    verdict, rows = _rows_scanned(monkeypatch, frobenius_map(S, 4))
+    assert not verdict and 1 <= rows <= 3
+    # every scaled, shifted permutation monomial a z^d + c at m = 6 scans
+    # gcd(d - 1, q - 1) rows, all of them when it is an o-polynomial
+    S = GF(6)
+    n = S.mult_order
+    rng = random.Random(6)
+    for d in (d for d in range(1, n) if gcd(d, n) == 1):
+        g = MappingTable(S, monomial(S, rng.randrange(1, S.order), d,
+                                     rng.randrange(S.order)))
+        assert bivariate._scan_rows(g) == gcd(d - 1, n)
+        verdict, rows = _rows_scanned(monkeypatch, g)
+        assert rows <= gcd(d - 1, n)
+        assert rows == gcd(d - 1, n) or not verdict
+    # a Subiaco member has no such symmetry: all q - 1 rows
+    S = GF(11)
+    member = subiaco_fs(SubiacoParams.case_i(S), S.el(0x123))
+    assert _rows_scanned(monkeypatch, member) == (True, S.mult_order)
+    # and one transposition takes the symmetry from a monomial
+    for m, i in ((6, 1), (11, 1), (11, 3)):
+        S = GF(m)
+        entries = list(frobenius_map(S, i).entries)
+        entries[2], entries[3] = entries[3], entries[2]
+        assert bivariate._scan_rows(MappingTable(S, entries)) \
+            == S.mult_order
 
 
 def test_swapped_catalog_member_negative_control():
@@ -300,13 +370,14 @@ def test_swapped_catalog_member_negative_control():
 
 
 def test_opoly_working_set_bound():
-    # beta blocks of about 2^14 elements keep the m = 11 test well
-    # below 1 MiB of numpy allocations, whatever q^2 is
+    # beta blocks of about 2^14 elements keep the full m = 11 scan well
+    # below 1 MiB of numpy allocations, whatever q^2 is; a Subiaco member
+    # is not a monomial, so every row is counted
     S = GF(11)
-    frob = frobenius_map(S, 1)
+    member = subiaco_fs(SubiacoParams.case_i(S), S.el(0x5))
     tracemalloc.start()
     try:
-        assert is_opolynomial(frob)
+        assert is_opolynomial(member)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -270,7 +270,7 @@ def test_cached_tables_are_read_only():
     tables = {"exp": F.exp_table, "cycle": F.exp_cycle, "log": F.log_table,
               "pairing": F.pairing_table(), "dual": F.dual_table(),
               "trace": F.subfield_trace_table(3), "sqrt": F.sqrt_table(),
-              "hex": F.hex_names()}
+              "hex": F.hex_names(), "windows": F.exp_windows()}
     for name, tab in tables.items():
         with pytest.raises(ValueError, match="read-only"):
             tab[1] = tab[0]
@@ -279,6 +279,19 @@ def test_cached_tables_are_read_only():
     # the subfield and Gram rows stay plain lists
     assert isinstance(F.subfield_bits(3), list)
     assert isinstance(F.gram_rows(), list)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_exp_windows_are_one_view_of_exp_cycle(k):
+    # row b is g^(b + j) for j < n, read out of exp_cycle with no copy,
+    # and every call returns the same view
+    F = GF(k)
+    n = F.mult_order
+    win = F.exp_windows()
+    b, j = np.indices((n, n))
+    assert np.array_equal(win, F.exp_table[(b + j) % n])
+    assert np.shares_memory(win, F.exp_cycle)
+    assert F.exp_windows() is win
 
 
 def _check_large_tables(F):

@@ -1,5 +1,6 @@
 """Hyperoval catalog members and bent-to-catalog correspondences."""
 
+import random
 import re
 from collections import Counter
 from math import gcd
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (oracle_adelaide_f1_display, oracle_adelaide_pair,
-                      oracle_blend, oracle_frobenius, oracle_is_opoly,
-                      oracle_mul, oracle_subiaco1_explicit,
+from conftest import (monomial, oracle_adelaide_f1_display,
+                      oracle_adelaide_pair, oracle_blend, oracle_frobenius,
+                      oracle_is_opoly, oracle_mul, oracle_subiaco1_explicit,
                       oracle_subiaco1_pair, oracle_subiaco3_explicit,
                       oracle_subiaco3_pair)
 from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
@@ -361,8 +362,9 @@ def test_adelaide_f1_rejects_swapped_member(monkeypatch):
 
 def test_frobenius_gcd_rule():
     # z^(2^i) is an o-polynomial exactly when gcd(i, m) = 1; up to m = 6
-    # the per-point oracles confirm the table and the verdict
-    for m in (1, 2, 3, 4, 5, 6, 9):
+    # the per-point oracles confirm the table and the verdict.  At most
+    # 2^gcd(i, m) - 1 beta rows decide each map, so m = 16 takes ms
+    for m in (1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16):
         field = GF(m)
         for i in range(2 * m + 1):
             table = frobenius_map(field, i)
@@ -496,6 +498,51 @@ def test_verdicts_do_not_depend_on_the_modulus(m, data):
     want = _verdicts(family, b, beta)
     assert want[0] and want[2] and all(want[3:])
     assert _verdicts(family, iso(b), iso(beta)) == want
+
+
+def _carried(iso, t):
+    """The table iso G iso^-1 of G carried into iso's target field."""
+    image = np.asarray(iso.table)
+    out = np.empty_like(image)
+    out[image] = image[t.array()]
+    return MappingTable(iso.big, out)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_opoly_verdicts_do_not_depend_on_the_modulus(m):
+    """is_opolynomial reads G in the discrete-log order of the modulus'
+    generator, so each table is carried into GF(2^m) under every other
+    modulus by the field isomorphism and must keep its verdicts."""
+    small = GF(m)
+    rng = random.Random(m)
+    tables = [frobenius_map(small, i) for i in range(2 * m + 1)]
+    for d in rng.sample(range(small.order), min(small.order, 8)) + [2, 6]:
+        tables.append(MappingTable(small, monomial(
+            small, rng.randrange(1, small.order), d,
+            rng.randrange(small.order))))
+    s = small.el(rng.randrange(small.order))
+    case = (SubiacoParams.case_i(small) if m % 2 else
+            SubiacoParams.case_ii(small, SubiacoParams.case_ii_w_options(
+                small)[0]) if m % 4 == 2 else
+            SubiacoParams.case_iii(small, SubiacoParams.case_iii_w_options(
+                small)[0]))
+    members = [subiaco_pair(case)[1], subiaco_fs(case, s)]
+    if m % 2 == 0:
+        big = GF(2 * m)
+        beta = rng.choice([u for u in unit_circle(big) if u.bits != 1])
+        adel = AdelaideParams(beta, embed_subfield(small, big))
+        members += [adelaide_pair(adel)[1], adelaide_fs(adel, s)]
+    swapped = list(members[0].entries)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    tables += members + [MappingTable(small, swapped)]
+    want = [(is_permutation(t), is_opolynomial(t)) for t in tables]
+    assert all(w == (True, True) for w in want[-len(members) - 1:-1])
+    assert want[-1] == (True, False)
+    for modulus in _other_moduli(m):
+        iso = embed_subfield(small, GF(m, modulus))
+        got = [(is_permutation(c), is_opolynomial(c))
+               for c in (_carried(iso, t) for t in tables)]
+        assert got == want, (m, hex(modulus))
 
 
 def _other_generator(field, data):
