@@ -31,7 +31,7 @@ the row of beta onto that of beta c^(1-d), so the r = gcd(d - 1, q - 1)
 rows b < r decide, and the test costs O(q r).  r is 1 for z^(2^i) with
 gcd(i, m) = 1 (0.05 ms at m = 11, 1.4 ms at m = 16) and q - 1 for every
 table without the symmetry, such as each Subiaco and Adelaide member
-(13 ms at m = 11, 0.9 s at m = 14, 18 s at m = 16).  That full scan is
+(13 ms at m = 11, 1 s at m = 14, 18 s at m = 16).  That full scan is
 why the test accepts m <= 16 only: a bound by time, not by memory.
 g_from_h, opoly_normalize, is_permutation and is_two_to_one are
 whole-table numpy expressions too, on the read-only int64 array that a
