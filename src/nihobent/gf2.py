@@ -492,7 +492,13 @@ class FieldSpec:
 
 class FieldElement:
     """A bitmask plus its FieldSpec.  Plain ints mixed into arithmetic are
-    read as bitmasks of the same field."""
+    read as bitmasks of the same field.
+
+    The field guard of every operation tests ``is`` before ``==``: GF()
+    hands out one FieldSpec per field, so same-field operands share the
+    object and skip the Python-level FieldSpec.__eq__; equal specs built
+    apart still combine, and different fields raise FieldMismatchError.
+    The hash is the bitmask alone, so it agrees with ``x == x.bits``."""
 
     __slots__ = ("bits", "field")
 
@@ -505,7 +511,7 @@ class FieldElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot combine {self.field!r} and {other.field!r}")
             return other.bits
@@ -578,13 +584,15 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.bits == other.bits
+            return (self.bits == other.bits
+                    and (self.field is other.field
+                         or self.field == other.field))
         if isinstance(other, int):
             return self.bits == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.bits, self.field))
+        return hash(self.bits)
 
     def __str__(self):
         return f"0x{self.bits:x}"
