@@ -459,6 +459,31 @@ def test_field_mismatch_raises():
         GF8.el(1) + GF16.el(1)
     with pytest.raises(FieldMismatchError):
         GF(3, 0xB).el(2) * GF(3, 0xD).el(2)
+    with pytest.raises(FieldMismatchError):
+        GF(3, 0xB).el(2) / GF(3, 0xD).el(2)
+    assert GF(3, 0xB).el(2) != GF(3, 0xD).el(2)
+    # a spec built outside GF() is equal but not the same object: the
+    # guard falls back to comparing values and lets it combine
+    twin = FieldSpec(4, 0x13)
+    assert twin is not GF16 and twin == GF16
+    a, b = twin.el(0x6), GF16.el(0xB)
+    assert (a + b).bits == 0x6 ^ 0xB
+    assert (a * b).bits == (b * a).bits == GF16.mul_bits(0x6, 0xB)
+    assert (a / b).bits == GF16.mul_bits(0x6, GF16.inv_bits(0xB))
+    assert (b / a).bits == GF16.mul_bits(0xB, GF16.inv_bits(0x6))
+    assert a == GF16.el(0x6) and GF16.el(0x6) == a and a != b
+
+
+def test_hash_agrees_with_eq():
+    x = GF16.el(10)
+    assert x == 10 and hash(x) == hash(10)
+    assert 10 in {x} and x in {10}
+    assert {x: "e"}[10] == "e" and {10: "i"}[x] == "i"
+    assert FieldSpec(4, 0x13).el(10) in {x}
+    # negative control: equal bits in different fields stay distinct
+    y, z = GF(3, 0xB).el(5), GF(3, 0xD).el(5)
+    assert len({y, z}) == 2 and y not in {z}
+    assert len({GF8.el(5), GF16.el(5)}) == 2
 
 
 def test_int_coercion_and_hex_str():

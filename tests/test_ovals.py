@@ -14,8 +14,9 @@ from conftest import (monomial, oracle_adelaide_f1_display,
                       oracle_is_opoly, oracle_mul, oracle_subiaco1_explicit,
                       oracle_subiaco1_pair, oracle_subiaco3_explicit,
                       oracle_subiaco3_pair)
-from nihobent import (GF, AdelaideParams, FamilySpec, InternalCheckError,
-                      MappingTable, SubiacoParams, VerificationError,
+from nihobent import (GF, AdelaideParams, FamilySpec, FieldSpec,
+                      InternalCheckError, MappingTable, SubiacoParams,
+                      VerificationError,
                       adelaide_f1, adelaide_fs, adelaide_pair, anf_degree,
                       build_bent, correspond_adelaide, correspond_subiaco,
                       default_modulus, embed_subfield, frobenius_map,
@@ -155,6 +156,23 @@ def test_case_ii_opolynomials():
         assert is_opolynomial(f) and is_opolynomial(g)
         for sbits in range(4):
             assert is_opolynomial(subiaco_fs(p, GF4.el(sbits)))
+
+
+def test_case_ii_blend_compares_no_field_specs(monkeypatch):
+    # the case-2 blend is a per-point FieldElement loop; every operand
+    # comes from GF(6), so the field guard takes its identity branch and
+    # the value comparison FieldSpec.__eq__ is (almost) never reached
+    field = GF(6)
+    p = SubiacoParams.case_ii(field)
+    eq, calls = FieldSpec.__eq__, []
+
+    def spy(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(FieldSpec, "__eq__", spy)
+    assert is_opolynomial(subiaco_fs(p, field.el(5)))
+    assert len(calls) < 10
 
 
 def test_case_iii_opolynomials_sampled():
