@@ -16,6 +16,16 @@ from nihobent import GF, FamilySpec, build_bent, family_report, is_bent
 from nihobent.boolfn import anf_degree
 
 
+def member(family, m, F, bits, r):
+    """The family member whose coefficient has bitmask bits: a for the
+    quadratic and Leander-Kholosha families, b for the binomials."""
+    if family == "quadratic":
+        return FamilySpec(family, m, a=F.el(bits))
+    if family == "leander_kholosha":
+        return FamilySpec(family, m, a=F.el(bits), r=r)
+    return FamilySpec(family, m, b=F.el(bits))
+
+
 def survey_family(samples, rng, family, m):
     F = GF(2 * m)
     if family == "quadratic":
@@ -30,24 +40,11 @@ def survey_family(samples, rng, family, m):
     degrees = {}
     bent = 0
     for bits in pool:
-        if family == "quadratic":
-            spec = FamilySpec(family, m, a=F.el(bits))
-        elif family == "leander_kholosha":
-            spec = FamilySpec(family, m, a=F.el(bits), r=r)
-        else:
-            spec = FamilySpec(family, m, b=F.el(bits))
-        tt = build_bent(spec).truth_table()
+        tt = build_bent(member(family, m, F, bits, r)).truth_table()
         bent += is_bent(tt)
         deg = anf_degree(tt)
         degrees[deg] = degrees.get(deg, 0) + 1
-    rep = family_report(
-        FamilySpec(family, m,
-                   a=F.el(pool[0]) if family in ("quadratic",
-                                                 "leander_kholosha")
-                   else None,
-                   b=None if family in ("quadratic", "leander_kholosha")
-                   else F.el(pool[0]),
-                   r=r if family == "leander_kholosha" else None))
+    rep = family_report(member(family, m, F, pool[0], r))
     return len(pool), bent, degrees, rep
 
 

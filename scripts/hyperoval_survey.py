@@ -16,8 +16,13 @@ from collections import Counter
 
 from nihobent import (GF, AdelaideParams, SubiacoParams, adelaide_fs,
                       adelaide_pair, correspond_adelaide, correspond_subiaco,
-                      embed_subfield, is_opolynomial, opoly_normalize,
-                      subiaco_fs, subiaco_pair, unit_circle)
+                      half_embedding, is_opolynomial, on_unit_circle,
+                      opoly_normalize, subiaco_fs, subiaco_pair, unit_circle)
+
+
+def circle(big):
+    """The unit circle of big without 1, in bitmask order."""
+    return [u for u in unit_circle(big) if on_unit_circle(u)]
 
 
 def catalog_instances(m):
@@ -30,11 +35,8 @@ def catalog_instances(m):
     for w in SubiacoParams.case_iii_w_options(field):
         yield f"subiaco-iii w={w}", SubiacoParams.case_iii(field, w), field
     if m % 2 == 0:
-        big = GF(2 * m)
-        emb = embed_subfield(field, big)
-        for beta in unit_circle(big):
-            if beta.bits == 1:
-                continue
+        emb = half_embedding(GF(2 * m))
+        for beta in circle(emb.big):
             yield f"adelaide beta={beta}", AdelaideParams(beta, emb), field
 
 
@@ -63,37 +65,26 @@ def report_catalog(m):
 def report_bridge(m):
     big = GF(2 * m)
     print(f"== correspondence sweep at m={m} (field GF(2^{2 * m})) ==")
-    branches = Counter()
-    retried = 0
-    s_values = set()
-    cases = Counter()
+    # every nonzero b, or b = 1 and every u where only b = 1 is supported
     if m % 4 != 0:
-        for bits in range(1, 1 << (2 * m)):
-            c = correspond_subiaco(big.el(bits))
-            assert c.verified
-            branches[c.branch] += 1
-            retried += bool(c.retried)
-            cases[c.catalog_case] += 1
-            if c.s is not None:
-                s_values.add(c.s.bits)
+        sweep = (correspond_subiaco(big.el(bits))
+                 for bits in range(1, big.order))
     else:
-        for u in unit_circle(big):
-            if u.bits == 1:
-                continue
-            c = correspond_subiaco(big.one, u=u)
-            assert c.verified
-            branches[c.branch] += 1
-            cases[c.catalog_case] += 1
-            if c.s is not None:
-                s_values.add(c.s.bits)
+        sweep = (correspond_subiaco(big.one, u=u) for u in circle(big))
+    branches, cases, retried, s_values = Counter(), Counter(), 0, set()
+    for c in sweep:
+        assert c.verified
+        branches[c.branch] += 1
+        retried += bool(c.retried)
+        cases[c.catalog_case] += 1
+        if c.s is not None:
+            s_values.add(c.s.bits)
     print(f"  subiaco: branches { dict(branches) }, retried {retried}, "
           f"cases {dict(cases)}")
     print(f"  blend parameters attained: {len(s_values)}/{1 << m}")
     if m % 2 == 0:
         verified = 0
-        for beta in unit_circle(big):
-            if beta.bits == 1:
-                continue
+        for beta in circle(big):
             assert correspond_adelaide(beta).verified
             verified += 1
         print(f"  adelaide: {verified} admissible beta, all verified")

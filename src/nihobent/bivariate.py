@@ -53,7 +53,7 @@ import numpy as np
 
 from .boolfn import TruthTable, line_forms
 from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
-                  linear_table)
+                  linear_table, on_unit_circle, parse_hex_list)
 
 __all__ = [
     "NotClassHError",
@@ -97,7 +97,7 @@ class BasisPair:
 
     def __post_init__(self):
         u, v = self.u, self.v
-        if u.field != v.field:
+        if u.field is not v.field:
             raise ValueError("basis elements from different fields")
         n = u.field.degree
         if n % 2:
@@ -152,7 +152,7 @@ class MappingTable:
         if not isinstance(other, MappingTable):
             return NotImplemented
         # same field, so same length and both int64
-        return (self.field == other.field
+        return (self.field is other.field
                 and self._array.tobytes() == other._array.tobytes())
 
     def __hash__(self):
@@ -167,15 +167,14 @@ class MappingTable:
 
     @classmethod
     def from_json(cls, field: FieldSpec, data) -> "MappingTable":
-        """Read a list of hex strings; any other entry is rejected, so a
-        JSON number is never read as hex."""
-        values = []
-        for e in data:
-            if not isinstance(e, str):
-                raise ValueError(f"table entries must be hex strings, "
-                                 f"got {e!r}")
-            values.append(int(e, 16))
-        return cls(field, values)
+        """Read a list of hex strings (gf2.parse_hex_list); any other
+        entry is rejected, so a JSON number is never read as hex."""
+        try:
+            return cls(field, parse_hex_list(data))
+        except TypeError:  # joining refused a non-string entry
+            bad = next(e for e in data if not isinstance(e, str))
+            raise ValueError(f"table entries must be hex strings, "
+                             f"got {bad!r}") from None
 
     def __repr__(self):
         return (f"MappingTable(GF(2^{self.field.degree}), "
@@ -209,12 +208,9 @@ def to_bivariate(tt: TruthTable, basis: BasisPair,
                  emb: Embedding) -> BivariateTable:
     """Table of (x, y) -> f(u emb(x) + v emb(y))."""
     big = basis.field
-    if emb.big != big:
-        raise ValueError("embedding targets a different field")
+    emb.check_half_of(big)
     if tt.n != big.degree:
         raise ValueError("truth table size does not match the field")
-    if emb.small.degree * 2 != big.degree:
-        raise ValueError("embedding must come from the half-degree field")
     small = emb.small
     # x -> u emb(x) and y -> v emb(y) are GF(2)-linear
     lift = [emb.table[1 << i] for i in range(small.degree)]
@@ -252,7 +248,7 @@ def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
 
 def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:
     """G(z) = H(z) + mu z."""
-    if mu.field != h.field:
+    if mu.field is not h.field:
         raise ValueError("mu from the wrong field")
     return MappingTable(h.field, h.array() ^ h.field.table_mul(
         mu.bits, np.arange(h.field.order)))
@@ -382,14 +378,12 @@ def subiaco_shape(field: FieldSpec, x, w: int, coeffs, c_half: int
 def _half_degree(b: FieldElement, other: FieldSpec, emb: Embedding,
                  what: str) -> int:
     """m for n = 2m, after the checks that both closed forms make."""
-    big = b.field
-    if other != big or emb.big != big:
-        raise ValueError(f"b, {what} and embedding must share a field")
-    if big.degree % 2 or emb.small.degree * 2 != big.degree:
-        raise ValueError("need n = 2m and the half-degree embedding")
+    if other is not b.field:
+        raise ValueError(f"b and {what} must share a field")
+    emb.check_half_of(b.field)
     if b.bits == 0:
         raise ValueError("b must be nonzero")
-    return big.degree // 2
+    return emb.small.degree
 
 
 def _project(emb: Embedding, vals: np.ndarray) -> MappingTable:
@@ -450,7 +444,7 @@ def closed_form_g_circle(b: FieldElement, u: FieldElement, emb: Embedding,
     are the roots of z^2 + wz + 1 and lie outside GF(2^m)."""
     big = b.field
     m = _half_degree(b, u.field, emb, "u")
-    if (u ** ((1 << m) + 1)).bits != 1 or u.in_subfield(m):
+    if not on_unit_circle(u):
         raise ValueError("u must lie on the unit circle outside GF(2^m)")
     a = b ** ((1 << m) + 1)
     ubar = u.frob(m)
@@ -481,13 +475,11 @@ def verify_trace_identities(b: FieldElement, u: FieldElement,
     subfield point z, as one table comparison.  b = 0 is allowed
     (everything degenerates to 0)."""
     big = u.field
-    if b.field != big:
+    if b.field is not big:
         raise ValueError("b and u must share a field")
-    if big.degree % 2:
-        raise ValueError("need n = 2m")
-    m = big.degree // 2
-    if (u ** ((1 << m) + 1)).bits != 1 or u.in_subfield(m):
+    if not on_unit_circle(u):
         raise ValueError("u must lie on the unit circle outside GF(2^m)")
+    m = big.degree // 2
     if v is None:
         v = big.one
     bq = b.frob(m)

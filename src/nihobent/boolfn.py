@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (_DEGREE_MAX, GF, FieldElement, FieldSpec, embed_subfield,
+from .gf2 import (_DEGREE_MAX, FieldElement, FieldSpec, half_embedding,
                   linear_table)
 
 __all__ = [
@@ -146,7 +146,7 @@ class TraceForm:
         for term in terms:
             r, c, e = (term.subfield_degree, term.coeff, term.exponent) \
                 if isinstance(term, TraceTerm) else term
-            if not isinstance(c, FieldElement) or c.field != field:
+            if not isinstance(c, FieldElement) or c.field is not field:
                 raise ValueError("term coefficient must belong to the "
                                  "host field")
             if not 1 <= r <= n or n % r:
@@ -307,13 +307,10 @@ def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
     over GF(2^m); each is listed through the GF(2)-linear map
     x -> g^k emb(x) from GF(2^m) and handed to line_forms.
     """
-    n = tt.n
-    if n % 2:
-        raise ValueError("coset restriction test needs n = 2m")
-    if field.degree != n:
+    if field.degree != tt.n:
         raise ValueError("field degree does not match table size")
-    m = n // 2
-    emb = embed_subfield(GF(m), field)
+    emb = half_embedding(field)
+    m = emb.small.degree
     # row i lists g^k emb(X^i) for k = 0..2^m
     lift = np.array([emb.table[1 << i] for i in range(m)])
     powers = field.table_pow(field.generator, np.arange((1 << m) + 1))

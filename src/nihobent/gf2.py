@@ -4,7 +4,8 @@ Elements are k-bit integers: bit i is the coefficient of X^i in the
 polynomial basis 1, X, ..., X^(k-1).  A FieldSpec pins down the reduction
 modulus and a primitive element; FieldElement pairs one bitmask with its
 FieldSpec so that cross-field operations fail loudly instead of silently
-mixing incompatible representations.
+mixing incompatible representations.  Fields are made with GF(), one
+FieldSpec object per field, and field equality is object identity.
 
 Reproducibility conventions:
 
@@ -40,6 +41,8 @@ in boolfn and the H/mu extraction in bivariate read these tables.
 from __future__ import annotations
 
 import functools
+import itertools
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -56,7 +59,11 @@ __all__ = [
     "is_irreducible",
     "default_modulus",
     "embed_subfield",
+    "half_embedding",
     "linear_table",
+    "on_unit_circle",
+    "parse_hex",
+    "parse_hex_list",
     "unit_circle",
     "unit_circle_element",
 ]
@@ -165,8 +172,8 @@ def _memo(build):
 class FieldSpec:
     """One concrete GF(2^k): degree, reduction modulus, primitive element.
 
-    Prefer the GF() factory, which caches constructed specs.  Two specs
-    compare equal iff degree, modulus and generator all agree.
+    Build fields with GF(): a spec is equal only to itself, so one built
+    here directly does not combine with GF()'s spec of the same field.
 
     With n = 2^k - 1, exp_table[j] = g^j (j < n) and log_table[x] are
     read-only int64 numpy arrays.  log_table[x] < n for x != 0, and
@@ -468,18 +475,6 @@ class FieldSpec:
     def gen(self) -> "FieldElement":
         return FieldElement(self.generator, self)
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.degree == other.degree
-                and self.modulus == other.modulus
-                and self.generator == other.generator)
-
-    def __hash__(self):
-        return hash((self.degree, self.modulus, self.generator))
-
     def __repr__(self):
         return (f"GF(2^{self.degree}; modulus=0x{self.modulus:x}, "
                 f"generator=0x{self.generator:x})")
@@ -490,15 +485,20 @@ class FieldSpec:
                 "generator": f"0x{self.generator:x}"}
 
 
+def _mismatch(a: FieldSpec, b: FieldSpec, message: str = ""):
+    """The error for two spec objects, which may be one field built twice."""
+    if repr(a) == repr(b):
+        message = f"two objects for one field {a!r}; build it with GF()"
+    return FieldMismatchError(message or f"cannot combine {a!r} and {b!r}")
+
+
 class FieldElement:
     """A bitmask plus its FieldSpec.  Plain ints mixed into arithmetic are
     read as bitmasks of the same field.
 
-    The field guard of every operation tests ``is`` before ``==``: GF()
-    hands out one FieldSpec per field, so same-field operands share the
-    object and skip the Python-level FieldSpec.__eq__; equal specs built
-    apart still combine, and different fields raise FieldMismatchError.
-    The hash is the bitmask alone, so it agrees with ``x == x.bits``."""
+    The field guard of every operation is ``is``: operands of two spec
+    objects raise FieldMismatchError.  The hash is the bitmask alone, so
+    it agrees with ``x == x.bits``."""
 
     __slots__ = ("bits", "field")
 
@@ -511,9 +511,8 @@ class FieldElement:
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine {self.field!r} and {other.field!r}")
+            if other.field is not self.field:
+                raise _mismatch(self.field, other.field)
             return other.bits
         if isinstance(other, int):
             if not 0 <= other < self.field.order:
@@ -584,9 +583,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (self.bits == other.bits
-                    and (self.field is other.field
-                         or self.field == other.field))
+            return self.bits == other.bits and self.field is other.field
         if isinstance(other, int):
             return self.bits == other
         return NotImplemented
@@ -606,7 +603,7 @@ _FIELD_CACHE: dict = {}
 
 def GF(degree: int, modulus: int | None = None,
        generator: int | None = None) -> FieldSpec:
-    """Cached FieldSpec factory."""
+    """The one FieldSpec object of a field, however it is spelled."""
     key = (degree, modulus, generator)
     spec = _FIELD_CACHE.get(key)
     if spec is None:
@@ -668,8 +665,9 @@ class Embedding:
 
     def __call__(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
-            if x.field != self.small:
-                raise FieldMismatchError("element is not in the small field")
+            if x.field is not self.small:
+                raise _mismatch(x.field, self.small,
+                                "element is not in the small field")
             x = x.bits
         return FieldElement(self.table[x], self.big)
 
@@ -690,12 +688,19 @@ class Embedding:
 
     def project(self, y: FieldElement) -> FieldElement:
         """Preimage of a big-field element; errors if outside the image."""
-        if y.field != self.big:
-            raise FieldMismatchError("element is not in the big field")
+        if y.field is not self.big:
+            raise _mismatch(y.field, self.big,
+                            "element is not in the big field")
         return FieldElement(int(self.project_table(y.bits)), self.small)
 
     def contains(self, y: FieldElement) -> bool:
-        return y.field == self.big and bool(self._locate(y.bits)[1])
+        return y.field is self.big and bool(self._locate(y.bits)[1])
+
+    def check_half_of(self, big: FieldSpec) -> None:
+        """ValueError unless this embeds the half-degree subfield in big."""
+        if self.big is not big or 2 * self.small.degree != big.degree:
+            raise ValueError(f"need the embedding of the half-degree "
+                             f"subfield into {big!r}")
 
 
 @functools.cache
@@ -704,14 +709,30 @@ def embed_subfield(small: FieldSpec, big: FieldSpec) -> Embedding:
     return Embedding(small, big)
 
 
+def _half_degree(field: FieldSpec) -> int:
+    """m for the degree n = 2m of field; odd n raises ValueError."""
+    if field.degree % 2:
+        raise ValueError(f"need even degree n = 2m, got GF(2^{field.degree})")
+    return field.degree // 2
+
+
+def half_embedding(big: FieldSpec) -> Embedding:
+    """embed_subfield(GF(m), big) for big = GF(2^n), n = 2m."""
+    return embed_subfield(GF(_half_degree(big)), big)
+
+
+def on_unit_circle(x: FieldElement) -> bool:
+    """Whether x^(2^m + 1) = 1 with x outside GF(2^m), n = 2m; 1 is the
+    only circle point inside GF(2^m), where x^(2^m + 1) = x^2."""
+    m = _half_degree(x.field)
+    return x.bits != 1 and x.field.pow_bits(x.bits, (1 << m) + 1) == 1
+
+
 def unit_circle(field: FieldSpec) -> list[FieldElement]:
     """All solutions of x^(2^m + 1) = 1 in GF(2^n), n = 2m, in bitmask
     order.  This is the cyclic group of order 2^m + 1 (the norm-1 circle
     over the subfield GF(2^m))."""
-    n = field.degree
-    if n % 2:
-        raise ValueError("the unit circle needs even degree n = 2m")
-    c = (1 << (n // 2)) + 1
+    c = (1 << _half_degree(field)) + 1
     step = field.mult_order // c
     # the powers h^i, i < c, of h = g^step
     bits = field.exp_table[::step]
@@ -731,11 +752,13 @@ def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:
       "general:I"  the I-th element (bitmask order, 0-based) of the
                    circle with 1 removed
     """
-    n = field.degree
-    if n % 2:
-        raise ValueError("the unit circle needs even degree n = 2m")
-    m = n // 2
+    m = _half_degree(field)
     name, _, arg = selector.partition(":")
+    if name not in ("cube", "fifth", "general"):
+        raise ValueError(f"unknown unit-circle selector {selector!r}")
+    # ASCII digits only: int() would read "1_0" and " +1" too
+    if name != "cube" and not (arg.isascii() and arg.isdigit()):
+        raise ValueError(f"bad {name} index {arg!r}")
     if name == "cube":
         if m % 2 == 0:
             raise ValueError("cube selector requires odd m")
@@ -743,28 +766,40 @@ def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:
     elif name == "fifth":
         if m % 4 != 2:
             raise ValueError("fifth selector requires m = 2 (mod 4)")
-        try:
-            j = int(arg)
-        except ValueError:
-            raise ValueError(f"bad fifth index {arg!r}") from None
+        j = int(arg)
         if not 1 <= j <= 4:
             raise ValueError("fifth index must be in 1..4")
         u = field.pow_bits(field.generator, j * (field.mult_order // 5))
-    elif name == "general":
-        try:
-            i = int(arg)
-        except ValueError:
-            raise ValueError(f"bad general index {arg!r}") from None
-        # the circle is the powers of g^((2^n - 1)/(2^m + 1)), and 1 is
-        # its smallest bitmask
-        circle = np.sort(field.exp_table[::field.mult_order
-                                         // ((1 << m) + 1)])[1:]
-        if not 0 <= i < len(circle):
-            raise ValueError(f"general index must be in 0..{len(circle)-1}")
-        u = int(circle[i])
     else:
-        raise ValueError(f"unknown unit-circle selector {selector!r}")
+        i = int(arg)
+        circle = unit_circle(field)[1:]  # 1 is the smallest bitmask
+        if i >= len(circle):
+            raise ValueError(f"general index must be in 0..{len(circle)-1}")
+        u = circle[i].bits
     el = FieldElement(u, field)
-    if field.pow_bits(u, (1 << m) + 1) != 1 or el.in_subfield(m):
+    if not on_unit_circle(el):
         raise AssertionError("selector produced a non-circle element")
     return el
+
+
+# hex text is an optional 0x or 0X, then ASCII hex digits: int(t, 16)
+# also takes "1_0", " +10" and non-ASCII digits, but on hex digits, x
+# and X alone it takes just that, and it refuses the joining commas
+_HEX = "(?:0[xX])?[0-9a-fA-F]+"
+_HEX_CHARS = re.compile("[0-9a-fA-FxX,]*")
+
+
+def parse_hex_list(texts: list[str]) -> list[int]:
+    """The bitmasks that hex strings spell; ValueError names a bad one."""
+    try:
+        if _HEX_CHARS.fullmatch(",".join(texts)):
+            return list(map(int, texts, itertools.repeat(16)))
+    except ValueError:
+        pass
+    bad = next(t for t in texts if not re.fullmatch(_HEX, t))
+    raise ValueError(f"expected a hex bitmask, got {bad!r}")
+
+
+def parse_hex(text: str) -> int:
+    """parse_hex_list of one string."""
+    return parse_hex_list([text])[0]

@@ -169,7 +169,7 @@ class FamilySpec:
                     f"need GF(2^{n})")
             if self.field is None:
                 self.field = el.field
-            elif self.field != el.field:
+            elif self.field is not el.field:
                 raise FamilyConditionError(
                     "field_degree", "coefficients from different fields")
         if self.field is None:

@@ -14,14 +14,16 @@ per params object and kept on it.  The case-1 (w = 1) and case-3 pairs
 and explicit forms are coefficient rows for bivariate.subiaco_shape.
 Case 2 is still evaluated point by point in FieldElement arithmetic,
 for a measured reason, not a mathematical one: the benchmark runner
-keeps a record per completed item, and porting case 2 with case 1
-raised the survey benchmark's peak RSS by 23 to 25%, past its 10% bound
-(case 1 alone stayed within it); case 2 follows once that memory no
-longer grows with throughput.  The Adelaide catalog (m even) is defined
-through relative traces of a unit-circle element beta of GF(2^n), so it
-is evaluated inside the big field as whole-table expressions on the q
-embedded arguments (table_pow, table_mul, tr(z) = z + z^(2^m)) and
-projected back through the embedding's section.
+keeps a record per completed item, and a port of case 2 alone took the
+survey benchmark from 1022-1263 to 2106-2718 items/s but its peak RSS
+from 47.3-50.3 to 60.2-67.2 MiB, +27 to +34% against its 10% bound (two
+rounds of 3 alternating pairs, 2 cores, Python 3.11.7, numpy 2.4.6);
+case 2 follows once that memory no longer grows with throughput.  The
+Adelaide catalog (m even) is defined through relative traces of a
+unit-circle element beta of GF(2^n), so it is evaluated inside the big
+field as whole-table expressions on the q embedded arguments
+(table_pow, table_mul, tr(z) = z + z^(2^m)) and projected back through
+the embedding's section.
 
 correspond_subiaco / correspond_adelaide run the whole pipeline.  Each
 branch derives its parameters (s, c0, c1, the catalog case) and builds
@@ -46,8 +48,10 @@ import numpy as np
 
 from .bivariate import (BasisPair, MappingTable, extract_h_mu, g_from_h,
                         subiaco_shape, to_bivariate)
-from .gf2 import (GF, Embedding, FieldElement, FieldSpec, InternalCheckError,
-                  embed_subfield, linear_table, unit_circle_element)
+# perfbench's tracer test checks that embed_subfield is patched here
+from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
+                  embed_subfield, half_embedding, linear_table,  # noqa: F401
+                  on_unit_circle, unit_circle_element)
 from .niho import FamilySpec, build_bent
 
 __all__ = [
@@ -73,7 +77,7 @@ class VerificationError(RuntimeError):
 
 def _as_element(field: FieldSpec, x) -> FieldElement:
     if isinstance(x, FieldElement):
-        if x.field != field:
+        if x.field is not field:
             raise ValueError("element from the wrong field")
         return x
     return field.el(x)
@@ -100,11 +104,8 @@ class SubiacoParams:
                 w: FieldElement | int | None = None) -> "SubiacoParams":
         if field.degree % 4 != 2:
             raise ValueError("case 2 needs m = 2 (mod 4)")
-        if w is None:
-            # the roots are the cube roots of unity r and r^2 = r + 1
-            r = field.pow_bits(field.generator, field.mult_order // 3)
-            w = min(r, r ^ 1)
-        w = _as_element(field, w)
+        w = _as_element(field, SubiacoParams.case_ii_w_options(field)[0]
+                        if w is None else w)
         if (w * w + w + 1).bits:
             raise ValueError(
                 f"w = 0x{w.bits:x} does not satisfy w^2 + w + 1 = 0")
@@ -267,17 +268,11 @@ class AdelaideParams:
                  "_pair")
 
     def __init__(self, beta: FieldElement, emb: Embedding):
-        big = beta.field
-        if emb.big != big:
-            raise ValueError("embedding targets a different field")
-        n = big.degree
-        if n % 2 or n % 4:
+        emb.check_half_of(beta.field)
+        m = emb.small.degree
+        if m % 2:
             raise ValueError("Adelaide needs m even (n = 0 mod 4)")
-        m = n // 2
-        if emb.small.degree != m:
-            raise ValueError("embedding must come from the half-degree "
-                             "field")
-        if (beta ** ((1 << m) + 1)).bits != 1 or beta.bits == 1:
+        if not on_unit_circle(beta):
             raise ValueError(
                 f"beta = 0x{beta.bits:x} must lie on the unit circle "
                 f"and differ from 1")
@@ -409,13 +404,6 @@ class Correspondence:
         }
 
 
-def _extract_g(b_or_one: FieldElement, family: str, m: int,
-               u: FieldElement, emb: Embedding) -> MappingTable:
-    tt = build_bent(FamilySpec(family, m, b=b_or_one)).truth_table()
-    biv = to_bivariate(tt, BasisPair(u, u.field.one), emb)
-    return g_from_h(*extract_h_mu(biv))
-
-
 def _verify_affine_match(extracted: MappingTable, member: MappingTable,
                          c0: FieldElement, c1: FieldElement,
                          what: str) -> int:
@@ -435,7 +423,9 @@ def _verified(what: str, bent: str, b_or_one: FieldElement,
     (u, 1), check G = c0 + c1 member on every point, and package the
     result with the remaining Correspondence fields."""
     m = emb.small.degree
-    extracted = _extract_g(b_or_one, bent, m, u, emb)
+    tt = build_bent(FamilySpec(bent, m, b=b_or_one)).truth_table()
+    extracted = g_from_h(*extract_h_mu(
+        to_bivariate(tt, BasisPair(u, u.field.one), emb)))
     checked = _verify_affine_match(extracted, member, c0, c1, what)
     return Correspondence(m=m, c0=c0, c1=c1, u=u, verified=True,
                           points_checked=checked, member=member,
@@ -448,23 +438,22 @@ def correspond_subiaco(b: FieldElement,
     Subiaco catalog member; the branch and catalog case depend on
     m mod 4.  For m = 0 (mod 4) only b = 1 is supported."""
     big = b.field
-    n = big.degree
-    if n % 2:
-        raise ValueError("need n = 2m")
-    m = n // 2
+    emb = half_embedding(big)
+    small = emb.small
+    m = small.degree
     if b.bits == 0:
         raise ValueError("b must be nonzero")
-    small = GF(m)
-    emb = embed_subfield(small, big)
     a = b ** ((1 << m) + 1)
     sqa = a.sqrt()
     branch = "generic"
     retried = []
+    # a given u must lie on the circle of b's field itself
+    on_circle = u is None or (u.field is big and on_unit_circle(u))
 
     if m % 2 == 1:
         if u is None:
             u = unit_circle_element(big, "cube")
-        elif u.field != big or (u ** 3).bits != 1 or u.bits == 1:
+        elif not on_circle or (u ** 3).bits != 1:
             raise ValueError("u must be a nontrivial cube root of unity")
         params = SubiacoParams.case_i(small)
         if b ** ((1 << m) - 1) == u * u:
@@ -479,16 +468,13 @@ def correspond_subiaco(b: FieldElement,
             c1 = emb.project(sqa)
             member = subiaco_fs(params, s)
     elif m % 4 == 2:
-        if u is None:
-            candidates = [unit_circle_element(big, f"fifth:{j}")
-                          for j in (1, 2, 3, 4)]
-        else:
-            if u.field != big or (u ** 5).bits != 1 or u.in_subfield(m):
+        candidates = [unit_circle_element(big, f"fifth:{j}")
+                      for j in (1, 2, 3, 4)]
+        if u is not None:
+            if not on_circle or (u ** 5).bits != 1:
                 raise ValueError(
                     "u must be a fifth root of unity outside GF(2^m)")
-            candidates = [u] + [v for j in (1, 2, 3, 4)
-                                if (v := unit_circle_element(
-                                    big, f"fifth:{j}")) != u]
+            candidates = [u] + [v for v in candidates if v != u]
         what = "generic branch (m = 2 mod 4)"
         for u in candidates:
             t4 = (b * (u ** 4 + 1)).rel_trace(m)
@@ -513,8 +499,7 @@ def correspond_subiaco(b: FieldElement,
                 "correspondence for general b is not established")
         if u is None:
             u = unit_circle_element(big, "general:0")
-        elif u.field != big or (u ** ((1 << m) + 1)).bits != 1 \
-                or u.in_subfield(m):
+        elif not on_circle:
             raise ValueError("u must lie on the unit circle outside GF(2^m)")
         what = "m = 0 (mod 4) branch"
         w_big = u + u.frob(m)
@@ -534,18 +519,12 @@ def correspond_subiaco(b: FieldElement,
 def correspond_adelaide(beta: FieldElement) -> Correspondence:
     """Match the s=1/6 binomial bent function (b = a = 1) against the
     Adelaide catalog member f_1 for u = beta^2."""
-    big = beta.field
-    n = big.degree
-    if n % 2 or (n // 2) % 2:
-        raise ValueError("Adelaide needs even m")
-    m = n // 2
-    small = GF(m)
-    emb = embed_subfield(small, big)
-    params = AdelaideParams(beta, emb)
+    params = AdelaideParams(beta, half_embedding(beta.field))
+    emb, m = params.emb, params.m
     member = adelaide_f1(params)
     c0 = emb.project(1 + (beta ** (2 * params.l)).rel_trace(m))
     c1 = emb.project(params.e_big * params.trb * params.trbl)
-    return _verified("Adelaide display", "adelaide", big.one, emb, member,
-                     c0, c1, beta * beta, family="adelaide",
-                     branch="generic", s=small.one, catalog_case=None,
+    return _verified("Adelaide display", "adelaide", beta.field.one, emb,
+                     member, c0, c1, beta * beta, family="adelaide",
+                     branch="generic", s=emb.small.one, catalog_case=None,
                      w=None, beta=beta, retried=())

@@ -56,6 +56,20 @@ def test_mapping_table_roundtrip():
     assert MappingTable.from_json(GF4, t.to_json()) == t
 
 
+@pytest.mark.parametrize("entry", ["1_1", " 0x1", "0x1 ", "+1", "-1", "0x",
+                                   "", "\uff11", "0x1 0x1"])
+def test_mapping_table_from_json_reads_hex_only(entry):
+    # the entry where 0x1 would be: int(entry, 16) reads most of these
+    # as a number; none of them is a hex bitmask
+    good = ["0x0", "0X1", "3", "0x2"]
+    assert MappingTable.from_json(GF4, good).entries == (0, 1, 3, 2)
+    with pytest.raises(ValueError, match="expected a hex bitmask"):
+        MappingTable.from_json(GF4, ["0x0", entry, "0x3", "0x2"])
+    # a short table is still refused for its length
+    with pytest.raises(ValueError, match="need 4 entries, got 3"):
+        MappingTable.from_json(GF4, good[:3])
+
+
 @pytest.mark.parametrize("entries", [
     ["0", "1", "3", "10"],           # strings are not read as numbers
     [0, 1, 3, 1.9],                  # floats are not truncated

@@ -179,6 +179,87 @@ def test_opoly_file_rejects_non_string_entries(tmp_path, capsys):
     assert "hex strings" in capsys.readouterr().err
 
 
+# each hex option in a call that is valid with the option's value XY
+# written as 0xXY; the value has two decimal digits, so that every
+# misspelling below has a form that int(text, 16) reads as 0xXY
+HEX_CALLS = {
+    "build --a": ["build", "--family", "quadratic", "--m", "3",
+                  "--a={}"],
+    "build --b": ["build", "--family", "binomial3", "--m", "3", "--b={}"],
+    "build --modulus": ["build", "--family", "binomial3", "--m", "2",
+                        "--b", "0x1", "--modulus={}"],
+    "correspond --b": ["correspond", "--family", "subiaco", "--m", "3",
+                       "--b={}"],
+    "correspond --beta": ["correspond", "--family", "adelaide", "--m", "4",
+                          "--beta={}"],
+    "opoly --w": ["opoly", "--source", "subiaco", "--m", "5", "--case",
+                  "3", "--w={}"],
+    "opoly --s": ["opoly", "--source", "subiaco", "--m", "5", "--case",
+                  "1", "--s={}"],
+    "opoly --beta": ["opoly", "--source", "adelaide", "--m", "4",
+                     "--beta={}"],
+    "opoly --modulus": ["opoly", "--source", "frobenius", "--m", "4",
+                        "--exponent", "1", "--modulus={}"],
+}
+HEX_VALUES = {"build --a": "16", "build --modulus": "13",
+              "correspond --beta": "35", "opoly --beta": "35",
+              "opoly --modulus": "13"}
+
+
+def _misspell(xy: str) -> list:
+    """Spellings of the hex value xy that are not hex bitmasks: a digit
+    separator, a sign, spaces, non-ASCII digits."""
+    wide = "".join(chr(0xFF10 + int(d)) for d in xy)
+    return [f"{xy[0]}_{xy[1]}", f"0x{xy[0]}_{xy[1]}", f" +{xy}", f"+{xy}",
+            f"{xy} ", f" {xy}", wide]
+
+
+@pytest.mark.parametrize("option", sorted(HEX_CALLS))
+def test_misspelled_hex_exits_2(option, capsys):
+    argv = HEX_CALLS[option]
+    xy = HEX_VALUES.get(option, "11")
+    # positive control: 0x, 0X and no prefix are all read as 0xXY
+    for spelled in (f"0x{xy}", f"0X{xy}", xy):
+        assert main([a.format(spelled) for a in argv]) == 0
+    capsys.readouterr()
+    for spelled in _misspell(xy):
+        assert main([a.format(spelled) for a in argv]) == 2, spelled
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a hex bitmask, got {spelled!r}" in captured.err
+
+
+def test_misspelled_hex_file_entry_and_index_exit_2(tmp_path, capsys):
+    # a table entry "1_1" is not 0x11, and general:1_0 is not index 10
+    entries = [f"0x{z:x}" for z in range(32)]
+    path = tmp_path / "ident.json"
+    for spelled, code in [("0x11", 0), ("0X11", 0), ("11", 0)] \
+            + [(bad, 2) for bad in _misspell("11")]:
+        entries[0x11] = spelled
+        path.write_text(json.dumps(entries))
+        assert main(["opoly", "--source", "file", "--file", str(path)]) \
+            == code, spelled
+    argv = ["correspond", "--family", "subiaco", "--m", "4", "--b", "0x1",
+            "--u"]
+    assert main([*argv, "general:10"]) == 0
+    capsys.readouterr()
+    for selector in ("general:1_0", "general: 10", "general:+10"):
+        assert main([*argv, selector]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad general index" in captured.err
+
+
+def test_hex_spellings_give_one_stdout(capsys):
+    # the report names b by its value, so 0x1f, 0X1F and 1f print alike
+    outs = []
+    for spelled in ("0x1f", "0X1F", "1f"):
+        assert main(["correspond", "--family", "subiaco", "--m", "3",
+                     "--b", spelled]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs.count(outs[0]) == 3
+
+
 @pytest.mark.parametrize("size", [0, 3, 6])
 def test_opoly_file_rejects_bad_lengths(tmp_path, capsys, size):
     # the empty table is refused like any other length, not by a shift

@@ -1,6 +1,9 @@
 """Field arithmetic, embeddings and the unit circle."""
 
+import itertools
+import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from conftest import (oracle_dual_basis, oracle_embedding_table,
                       oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, FieldSpec,
                       InternalCheckError, default_modulus, embed_subfield,
-                      linear_table, unit_circle, unit_circle_element)
+                      half_embedding, linear_table, on_unit_circle,
+                      unit_circle, unit_circle_element)
+from nihobent.gf2 import parse_hex, parse_hex_list
 
 GF8 = GF(3, 0xB)
 GF16 = GF(4)
@@ -462,16 +467,21 @@ def test_field_mismatch_raises():
     with pytest.raises(FieldMismatchError):
         GF(3, 0xB).el(2) / GF(3, 0xD).el(2)
     assert GF(3, 0xB).el(2) != GF(3, 0xD).el(2)
-    # a spec built outside GF() is equal but not the same object: the
-    # guard falls back to comparing values and lets it combine
+    # field equality is identity: a spec built outside GF() is a field of
+    # its own, even where it prints like GF16, and the error says why
     twin = FieldSpec(4, 0x13)
-    assert twin is not GF16 and twin == GF16
+    assert repr(twin) == repr(GF16)
+    assert twin is not GF16 and twin != GF16 and not twin == GF16
     a, b = twin.el(0x6), GF16.el(0xB)
-    assert (a + b).bits == 0x6 ^ 0xB
-    assert (a * b).bits == (b * a).bits == GF16.mul_bits(0x6, 0xB)
-    assert (a / b).bits == GF16.mul_bits(0x6, GF16.inv_bits(0xB))
-    assert (b / a).bits == GF16.mul_bits(0xB, GF16.inv_bits(0x6))
-    assert a == GF16.el(0x6) and GF16.el(0x6) == a and a != b
+    for op in (operator.add, operator.mul, operator.truediv):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(FieldMismatchError,
+                               match="two objects for one field"):
+                op(x, y)
+    assert a != GF16.el(0x6) and GF16.el(0x6) != a
+    # a mismatch between two different fields names both
+    with pytest.raises(FieldMismatchError, match="cannot combine"):
+        GF8.el(1) + GF16.el(1)
 
 
 def test_hash_agrees_with_eq():
@@ -479,11 +489,16 @@ def test_hash_agrees_with_eq():
     assert x == 10 and hash(x) == hash(10)
     assert 10 in {x} and x in {10}
     assert {x: "e"}[10] == "e" and {10: "i"}[x] == "i"
-    assert FieldSpec(4, 0x13).el(10) in {x}
+    # an element of a directly built spec is not GF16's element
+    assert FieldSpec(4, 0x13).el(10) not in {x}
     # negative control: equal bits in different fields stay distinct
     y, z = GF(3, 0xB).el(5), GF(3, 0xD).el(5)
     assert len({y, z}) == 2 and y not in {z}
     assert len({GF8.el(5), GF16.el(5)}) == 2
+    # a spec hashes by identity, and every spelling of GF(4, ...) is one
+    # object
+    spellings = {GF(4), GF(4, 0x13), GF(4, None, 0x2), GF(4, 0x13, 0x2)}
+    assert spellings == {GF16} and len({GF16, FieldSpec(4)}) == 2
 
 
 def test_int_coercion_and_hex_str():
@@ -497,3 +512,111 @@ def test_gf_cache_and_eq():
     assert GF(4) is GF(4, 0x13)
     assert GF(4) == GF(4, 0x13)
     assert GF(3, 0xB) != GF(3, 0xD)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_on_unit_circle_matches_the_per_branch_conditions(m):
+    # on_unit_circle replaced five hand-written checks; on every element
+    # of GF(2^(2m)) it must agree with each of them, extra conditions kept
+    big = GF(2 * m)
+    c = (1 << m) + 1
+    on = [on_unit_circle(x) for x in map(big.el, range(big.order))]
+    for x, on_x in zip(map(big.el, range(big.order)), on):
+        norm_one = (x ** c).bits == 1
+        # general u and unit_circle_element: outside GF(2^m)
+        assert on_x == (norm_one and not x.in_subfield(m))
+        # Adelaide beta and the old cube test: different from 1
+        assert on_x == (norm_one and x.bits != 1)
+        if m % 2:
+            # the cube roots of unity lie on the circle for odd m
+            cube = (x ** 3).bits == 1
+            assert (on_x and cube) == (cube and x.bits != 1)
+        if m % 4 == 2:
+            # the fifth roots lie on it for m = 2 (mod 4)
+            fifth = (x ** 5).bits == 1
+            assert (on_x and fifth) == (fifth and not x.in_subfield(m))
+    # the circle has 2^m + 1 points, 1 among them
+    assert sum(on) == c - 1
+    with pytest.raises(ValueError, match="even degree"):
+        on_unit_circle(GF(2 * m + 1).gen)
+
+
+def test_half_embedding_is_the_cached_half_degree_embedding():
+    for m in (1, 2, 3, 4):
+        big = GF(2 * m)
+        emb = half_embedding(big)
+        assert emb is embed_subfield(GF(m), big) is half_embedding(big)
+        assert emb.small is GF(m) and emb.big is big
+        emb.check_half_of(big)
+    for n in (1, 3, 5):
+        with pytest.raises(ValueError, match="even degree n = 2m"):
+            half_embedding(GF(n))
+    # negative controls for the check: another target object, even one
+    # that prints alike, another field of the degree, another subfield
+    big = GF(8)
+    for emb, target in ((half_embedding(big), FieldSpec(8)),
+                        (half_embedding(GF(8, 0x11d)), big),
+                        (embed_subfield(GF(2), big), big),
+                        (embed_subfield(GF(4), GF(16)), GF(16))):
+        with pytest.raises(ValueError, match="half-degree"):
+            emb.check_half_of(target)
+    # the embedding's own guards tell a twin spec apart from a field
+    emb = half_embedding(big)
+    for call, twin in ((emb, FieldSpec(4)), (emb.project, FieldSpec(8))):
+        with pytest.raises(FieldMismatchError,
+                           match="two objects for one field"):
+            call(twin.one)
+    assert not emb.contains(FieldSpec(8).one) and emb.contains(big.one)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "0x1_0", " +10", "+10", "-1", "0x-1", "0x", "", " 1", "1 ",
+    "1f\n", "0o1", "g", "0xg", "\uff11", "\u0661", "0x\uff11"])
+def test_parse_hex_rejects_all_but_hex_digits(text):
+    # int(text, 16) reads "1_0" and " +10" as 0x10, and takes non-ASCII
+    # digits; the parser takes only 0x/0X and ASCII hex digits
+    with pytest.raises(ValueError, match="expected a hex bitmask"):
+        parse_hex(text)
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(text))}$"):
+        parse_hex_list(["0x0", "1", text, "0x2"])
+
+
+def test_parse_hex_accepts_both_prefixes_and_none():
+    assert parse_hex("0x1f") == parse_hex("0X1F") == parse_hex("1f") == 31
+    assert parse_hex("0") == parse_hex("0x0") == 0
+    assert parse_hex_list(["0x0", "A", "0Xb", "00ff"]) == [0, 10, 11, 255]
+    assert parse_hex_list([]) == []
+    # the list is matched joined by commas: an entry holding the
+    # separator joins like two entries, and int() refuses it
+    for bad in ("0x1,0x2", "1,", ","):
+        with pytest.raises(ValueError, match=f"got '{bad}'$"):
+            parse_hex_list(["0x0", bad, "0x3"])
+
+
+def test_parse_hex_is_exactly_the_hex_grammar():
+    # every string of up to 4 characters over hex digits, x, X and the
+    # characters int() also takes: parse_hex accepts exactly the
+    # spellings 0x/0X then hex digits, and reads them as int() does
+    alphabet = "01fFxX_+ ,"
+    for k in range(5):
+        for chars in itertools.product(alphabet, repeat=k):
+            text = "".join(chars)
+            if re.fullmatch("(0[xX])?[0-9a-fA-F]+", text):
+                assert parse_hex(text) == int(text, 16)
+                assert parse_hex_list([text, text]) == [int(text, 16)] * 2
+            else:
+                with pytest.raises(ValueError, match="hex bitmask"):
+                    parse_hex(text)
+
+
+@pytest.mark.parametrize("selector", [
+    "general:1_0", "general: 1", "general:1 ", "general:+1", "general:",
+    "general:\u0661", "general:0x1", "fifth:+1", "fifth:0_1",
+    "fifth:\uff11"])
+def test_selector_indices_take_ascii_digits_only(selector):
+    big = GF(8) if selector.startswith("general") else GF(4)
+    with pytest.raises(ValueError, match="bad (general|fifth) index"):
+        unit_circle_element(big, selector)
+    # the same index written plainly is accepted
+    assert on_unit_circle(unit_circle_element(
+        big, "general:10" if selector.startswith("general") else "fifth:1"))

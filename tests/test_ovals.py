@@ -158,21 +158,15 @@ def test_case_ii_opolynomials():
             assert is_opolynomial(subiaco_fs(p, GF4.el(sbits)))
 
 
-def test_case_ii_blend_compares_no_field_specs(monkeypatch):
-    # the case-2 blend is a per-point FieldElement loop; every operand
-    # comes from GF(6), so the field guard takes its identity branch and
-    # the value comparison FieldSpec.__eq__ is (almost) never reached
+def test_case_ii_blend_compares_no_field_specs():
+    # the case-2 blend is a per-point FieldElement loop; field equality
+    # is identity, so FieldSpec defines no value comparison or hash of
+    # its own for any guard to reach
+    assert "__eq__" not in vars(FieldSpec)
+    assert "__hash__" not in vars(FieldSpec)
     field = GF(6)
-    p = SubiacoParams.case_ii(field)
-    eq, calls = FieldSpec.__eq__, []
-
-    def spy(self, other):
-        calls.append(other)
-        return eq(self, other)
-
-    monkeypatch.setattr(FieldSpec, "__eq__", spy)
-    assert is_opolynomial(subiaco_fs(p, field.el(5)))
-    assert len(calls) < 10
+    assert is_opolynomial(subiaco_fs(SubiacoParams.case_ii(field),
+                                     field.el(5)))
 
 
 def test_case_iii_opolynomials_sampled():
