@@ -12,6 +12,8 @@ Usage: python3 scripts/family_survey.py --m-min 2 --m-max 5 --samples 24
 import argparse
 import random
 
+import numpy as np
+
 from nihobent import GF, FamilySpec, build_bent, family_report, is_bent
 from nihobent.boolfn import anf_degree
 
@@ -29,9 +31,10 @@ def member(family, m, F, bits, r):
 def survey_family(samples, rng, family, m):
     F = GF(2 * m)
     if family == "quadratic":
-        pool = [x for x in sorted(F.subfield_bits(m)) if x]
+        pool = F.subfield_bits(m)[1:].tolist()
     elif family == "leander_kholosha":
-        pool = [x for x in range(F.order) if x ^ F.frob_bits(x, m) == 1]
+        pool = np.flatnonzero(
+            (F.frob_table(m) ^ np.arange(F.order)) == 1).tolist()
     else:
         pool = list(range(1, 1 << (2 * m)))
     if len(pool) > samples:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .boolfn import TruthTable, line_forms
 from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
-                  linear_table, on_unit_circle, parse_hex_list)
+                  on_unit_circle, parse_hex_list)
 
 __all__ = [
     "NotClassHError",
@@ -211,12 +211,9 @@ def to_bivariate(tt: TruthTable, basis: BasisPair,
     emb.check_half_of(big)
     if tt.n != big.degree:
         raise ValueError("truth table size does not match the field")
-    small = emb.small
-    # x -> u emb(x) and y -> v emb(y) are GF(2)-linear
-    lift = [emb.table[1 << i] for i in range(small.degree)]
-    ux = linear_table([big.mul_bits(basis.u.bits, e) for e in lift])
-    vy = linear_table([big.mul_bits(basis.v.bits, e) for e in lift])
-    return BivariateTable(small, tt.values[ux[:, None] ^ vy])
+    ux = big.table_mul(basis.u.bits, emb.table)
+    vy = big.table_mul(basis.v.bits, emb.table)
+    return BivariateTable(emb.small, tt.values[ux[:, None] ^ vy])
 
 
 def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
@@ -277,8 +274,9 @@ def is_two_to_one(t: MappingTable) -> bool:
 # the block's values, offset G rows and fiber counts to a few hundred KiB
 _OPOLY_BLOCK = 1 << 14
 
-# the full scan does O(q^2) work, about 18 s at m = 16 on a 2-core Xeon;
-# larger m is refused rather than left to run for minutes
+# a table without monomial symmetry needs the full scan of all q - 1 beta
+# rows, about 18 s at m = 16 on a 2-core Xeon; larger m is refused rather
+# than left to run for minutes
 _OPOLY_M_MAX = 16
 
 
@@ -287,8 +285,8 @@ def check_opoly_degree(m: int) -> None:
     a caller can refuse m before it builds any table."""
     if m > _OPOLY_M_MAX:
         raise ValueError(
-            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (O(q^2) "
-            f"work); got m = {m}")
+            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (its full "
+            f"scan takes about 18 s at m = 16); got m = {m}")
 
 
 def _scan_rows(g: MappingTable) -> int:
@@ -417,7 +415,7 @@ def closed_form_g(b: FieldElement, basis: BasisPair,
     k_coef = b * u * u * (u ** (2 * (qm - 1)) + v ** (2 * (qm - 1)))
     c = (a * u ** (qm + 1)).sqrt() \
         + (b * u.frob(m) * v ** (2 * (qm - 1))).rel_trace(m)
-    z = np.asarray(emb.table)
+    z = emb.table
     t = big.table_mul(k_coef.bits, big.table_pow(
         big.table_mul(v.bits, z) ^ u.bits, qm - 2))
     return _project(emb, c.bits ^ t ^ big.table_pow(t, qm)
@@ -449,7 +447,7 @@ def closed_form_g_circle(b: FieldElement, u: FieldElement, emb: Embedding,
     a = b ** ((1 << m) + 1)
     ubar = u.frob(m)
     w = u + ubar
-    z = np.asarray(emb.table)
+    z = emb.table
     if not reduced:
         c = a.sqrt() + (b * ubar).rel_trace(m)
         # for z in GF(2^m) the last term is the conjugate of the one
@@ -496,7 +494,7 @@ def verify_trace_identities(b: FieldElement, u: FieldElement,
     qm1 = (1 << m) + 1
     half = big.order // 2
     t_lin = (u.frob(m) * v).rel_trace(m)
-    z = np.array(big.subfield_bits(m))
+    z = big.subfield_bits(m)
     # x^(1/2) = x^(2^(n-1))
     lhs = big.table_pow(big.table_mul(v.bits, z) ^ u.bits, qm1 * half)
     rhs = (u ** qm1).sqrt().bits \

@@ -131,10 +131,10 @@ class TraceTerm:
 class TraceForm:
     """A Boolean function given as a sum of subfield-trace monomials.
 
-    Terms are (r, c, e) with r | n, c in the GF(2^r) subfield of the host
-    field, and e * 2^r = e (mod 2^n - 1); those two conditions make
-    sum_{i<r} (c x^e)^(2^i) a 0/1 value for every x, which is what tr_r
-    means here.
+    Terms are TraceTerm(r, c, e) with r | n, c in the GF(2^r) subfield
+    of the host field, and e * 2^r = e (mod 2^n - 1); those two
+    conditions make sum_{i<r} (c x^e)^(2^i) a 0/1 value for every x,
+    which is what tr_r means here.
     """
 
     __slots__ = ("field", "terms")
@@ -144,8 +144,10 @@ class TraceForm:
         mask = field.mult_order
         checked = []
         for term in terms:
-            r, c, e = (term.subfield_degree, term.coeff, term.exponent) \
-                if isinstance(term, TraceTerm) else term
+            if not isinstance(term, TraceTerm):
+                raise TypeError(f"trace terms must be TraceTerm, got "
+                                f"{type(term).__name__}")
+            r, c, e = term.subfield_degree, term.coeff, term.exponent
             if not isinstance(c, FieldElement) or c.field is not field:
                 raise ValueError("term coefficient must belong to the "
                                  "host field")
@@ -312,7 +314,7 @@ def has_affine_coset_restrictions(tt: TruthTable, field: FieldSpec) -> bool:
     emb = half_embedding(field)
     m = emb.small.degree
     # row i lists g^k emb(X^i) for k = 0..2^m
-    lift = np.array([emb.table[1 << i] for i in range(m)])
+    lift = emb.table[1 << np.arange(m)]
     powers = field.table_pow(field.generator, np.arange((1 << m) + 1))
     points = linear_table(field.table_mul(lift[:, None], powers))
     return line_forms(tt.values[points.T])[2] is None

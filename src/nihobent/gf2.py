@@ -15,20 +15,24 @@ Reproducibility conventions:
   * the stored generator is the smallest bitmask whose multiplicative
     order is 2^k - 1.
 
-Whole-field tables are GF(2)-linear maps of the bitmask, built as numpy
-arrays by one kernel, linear_table, from their k basis images (computed
-with the shift-and-xor primitive _mul_raw) by XOR-doubling in O(2^k) word
-operations.  The exp/log pair is doubled the same way through the
-multiply-by-g^(2^i) tables at construction, for every degree.  exp is
-stored twice over and then a 0 that log[0] points at, so a product is
-one gather at log a + log b with no modulo and no zero mask; scalar
-mul, pow, inv and sqrt index the pair in O(1) through memoryviews, and
-table_mul, table_inv and table_pow apply the same arithmetic entrywise
-to bitmask arrays.  table_mul(c, t) is also the one way to multiply a
-table by a constant, and exp_windows is a cached strided view of
-exp_cycle whose rows are its windows of length 2^k - 1.  The pair takes
-3 * 2^(k+3) bytes, 24 MiB at the degree cap k = 20.  Every table a
-FieldSpec holds or caches is read-only and a pure function of it, so
+Every table gf2 gives out is a read-only int64 numpy array: a field map
+or an Embedding's table indexed by bitmask, the sorted subfield list and
+the Gram rows by position.  Callers index it as it is, and none can
+corrupt it for the next.  The field maps are GF(2)-linear maps of the
+bitmask, built by one kernel, linear_table, from their k basis images
+(computed with the shift-and-xor primitive _mul_raw) by XOR-doubling in
+O(2^k) word operations; frob_table(i) is x -> x^(2^i), and sqrt_table
+is its i = k - 1 case.  The exp/log pair is doubled the same way
+through the multiply-by-g^(2^i) tables at construction, for every
+degree.  exp is stored twice over and then a 0 that log[0] points at,
+so a product is one gather at log a + log b with no modulo and no zero
+mask; scalar mul, pow, inv and sqrt index the pair in O(1) through
+memoryviews, and table_mul, table_inv and table_pow apply the same
+arithmetic entrywise to bitmask arrays.  table_mul(c, t) is also the
+one way to multiply a table by a constant, and exp_windows is a cached
+strided view of exp_cycle whose rows are its windows of length 2^k - 1.
+The pair takes 3 * 2^(k+3) bytes, 24 MiB at the degree cap k = 20.
+Every table a FieldSpec holds or caches is a pure function of it, so
 instances can be shared freely across threads.
 
 The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
@@ -155,15 +159,15 @@ def _factorize(n: int) -> list[int]:
 
 def _memo(build):
     """FieldSpec method decorator: build(self, *args) runs once per spec
-    and args, and its result is kept in self._derived.  A kept numpy
-    array is made read-only, so no caller can corrupt it for the next."""
+    and args, and its result, always a numpy array, is kept in
+    self._derived.  The kept array is made read-only, so no caller can
+    corrupt it for the next."""
     @functools.wraps(build)
     def method(self, *args):
         key = (build.__name__, *args)
         if key not in self._derived:
             value = build(self, *args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            value.flags.writeable = False
             self._derived[key] = value
         return self._derived[key]
     return method
@@ -377,13 +381,15 @@ class FieldSpec:
     # -- cached derived tables (read-only arrays, see _memo) --------------
 
     @_memo
-    def subfield_bits(self, r: int) -> list[int]:
+    def subfield_bits(self, r: int) -> np.ndarray:
         """Sorted bitmasks of the subfield GF(2^r) inside this field."""
         self._check_subdegree(r)
-        # the kernel of the GF(2)-linear map x -> x^(2^r) + x
+        # the kernel of the GF(2)-linear map x -> x^(2^r) + x, from a
+        # transient table: keeping it (or frob_table(r)) would hold one
+        # more 2^k-entry array per field, 8 MiB at k = 20
         moved = linear_table([self.frob_bits(1 << i, r) ^ (1 << i)
                               for i in range(self.degree)])
-        return np.flatnonzero(moved == 0).tolist()
+        return np.flatnonzero(moved == 0)
 
     @_memo
     def subfield_trace_table(self, r: int) -> np.ndarray:
@@ -395,11 +401,16 @@ class FieldSpec:
                              for i in range(self.degree)])
 
     @_memo
+    def frob_table(self, i: int) -> np.ndarray:
+        """Table of x -> x^(2^i), i reduced mod k as in frob_bits; the
+        map is GF(2)-linear, so the table follows from the k basis
+        images."""
+        return linear_table([self.frob_bits(1 << j, i)
+                             for j in range(self.degree)])
+
     def sqrt_table(self) -> np.ndarray:
-        """Table of x -> x^(1/2), GF(2)-linear like every power of the
-        Frobenius map."""
-        return linear_table([self.sqrt_bits(1 << i)
-                             for i in range(self.degree)])
+        """Table of x -> x^(1/2) = x^(2^(k-1))."""
+        return self.frob_table(self.degree - 1)
 
     @_memo
     def exp_windows(self) -> np.ndarray:
@@ -412,14 +423,15 @@ class FieldSpec:
                           writeable=False)
 
     @_memo
-    def gram_rows(self) -> list[int]:
+    def gram_rows(self) -> np.ndarray:
         """Row bitmasks of the trace Gram matrix M[i][j] = tr(X^i * X^j),
         a Hankel matrix: row i is bits i..i+k-1 of t = sum_l tr(X^l) 2^l,
         where X^l (l <= 2k - 2) is the residue of the monomial 1 << l."""
         k = self.degree
         t = sum(self.trace_bits(pmod(1 << l, self.modulus)) << l
                 for l in range(2 * k - 1))
-        return [t >> i & ((1 << k) - 1) for i in range(k)]
+        return np.array([t >> i & ((1 << k) - 1) for i in range(k)],
+                        dtype=np.int64)
 
     @_memo
     def pairing_table(self) -> np.ndarray:
@@ -432,17 +444,19 @@ class FieldSpec:
     def dual_table(self) -> np.ndarray:
         """The inverse of pairing_table: entry a is the c with x -> tr(c x)
         of GF(2) functional a, the XOR of dual[j] over the set bits j of
-        a.  The dual basis is checked on every basis pair first."""
+        a.  The dual basis is checked on every basis pair first: the k x k
+        traces tr(X^i dual[j]) must be the identity matrix."""
         k = self.degree
         pairing = self.pairing_table()
         if np.bincount(pairing, minlength=self.order).max() != 1:
             raise AssertionError("trace form is non-degenerate")
         inverse = np.empty_like(pairing)
         inverse[pairing] = np.arange(self.order)
-        for j, d in enumerate(inverse[1 << np.arange(k)].tolist()):
-            for i in range(k):
-                if self.trace_bits(self.mul_bits(1 << i, d)) != (i == j):
-                    raise AssertionError("dual basis verification failed")
+        basis = 1 << np.arange(k)
+        traces = self.subfield_trace_table(k)[
+            self.table_mul(basis[:, None], inverse[basis])]
+        if not np.array_equal(traces, np.eye(k, dtype=np.int64)):
+            raise AssertionError("dual basis verification failed")
         return inverse
 
     def dual_basis_bits(self) -> list[int]:
@@ -620,11 +634,12 @@ class Embedding:
     small field's class of X to the smallest root of the small modulus in
     the big field, extended linearly.
 
-    Multiplicativity is verified on all basis pairs at construction,
-    which settles it for all pairs since both sides are bilinear; the
-    image is checked to be exactly the in_subfield set.  The section
-    (the inverse on the image) is the sorted image with its preimages,
-    searched with np.searchsorted by project, contains and
+    Multiplicativity is verified on all basis pairs at construction, in
+    one table comparison, which settles it for all pairs since both sides
+    are bilinear; the image is checked to be exactly the subfield.  table
+    is a read-only int64 array, entry x the image of x.  The section (the
+    inverse on the image) is the sorted image, subfield_bits, with its
+    preimages, searched with np.searchsorted by project, contains and
     project_table alike.
     """
 
@@ -638,30 +653,36 @@ class Embedding:
         # p, the small modulus, is irreducible of degree r, so its roots
         # lie in GF(2^r): p(c) = XOR of c^i over the set bits i of p, and
         # the first zero in the sorted subfield is the smallest
-        cands = np.array(big.subfield_bits(r)[1:])
+        cands = big.subfield_bits(r)[1:]
         terms = [[i] for i in range(r + 1) if small.modulus >> i & 1]
         values = np.bitwise_xor.reduce(big.table_pow(cands, terms))
         roots = np.flatnonzero(values == 0)
         if roots.size == 0:
             raise AssertionError("the small modulus splits in the big field")
-        root = int(cands[roots[0]])
-        powers = big.table_pow(root, np.arange(r)).tolist()
-        table = linear_table(powers).tolist()
-        for i in range(r):
-            for j in range(r):
-                lhs = table[small.mul_bits(1 << i, 1 << j)]
-                rhs = big.mul_bits(powers[i], powers[j])
-                if lhs != rhs:
-                    raise AssertionError("embedding is not multiplicative")
-        if sorted(table) != big.subfield_bits(r):
+        powers = big.table_pow(cands[roots[0]], np.arange(r))
+        table = linear_table(powers)
+        # emb(X^i X^j) = emb(X^i) emb(X^j) on every basis pair
+        basis = 1 << np.arange(r)
+        if not (table[small.table_mul(basis[:, None], basis)]
+                == big.table_mul(powers[:, None], powers)).all():
+            raise AssertionError("embedding is not multiplicative")
+        # each x goes to the slot of emb(x) in the sorted subfield (the
+        # search in image[:-1] puts a value above every entry on the last
+        # slot), and the image is the subfield exactly when every slot
+        # then holds an x that lands on it: an empty slot keeps x = 0.
+        # No sort and no put: build calls neither otherwise, and a first
+        # call maps 0.1-0.2 MiB more of numpy's code into its peak RSS
+        image = big.subfield_bits(r)
+        preimage = np.zeros(small.order, dtype=np.int64)
+        preimage[np.searchsorted(image[:-1], table)] = np.arange(small.order)
+        if not np.array_equal(table[preimage], image):
             raise AssertionError("embedding image is not the subfield")
+        table.flags.writeable = preimage.flags.writeable = False
         self.small = small
         self.big = big
         self.table = table
-        self._image = np.array(big.subfield_bits(r))
-        self._preimage = np.empty(small.order, dtype=np.int64)
-        self._preimage[np.searchsorted(self._image, table)] = \
-            np.arange(small.order)
+        self._image = image
+        self._preimage = preimage
 
     def __call__(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -669,7 +690,7 @@ class Embedding:
                 raise _mismatch(x.field, self.small,
                                 "element is not in the small field")
             x = x.bits
-        return FieldElement(self.table[x], self.big)
+        return FieldElement(int(self.table[x]), self.big)
 
     def _locate(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Positions of values in the sorted image, and which are hits."""

@@ -50,7 +50,7 @@ from .bivariate import (BasisPair, MappingTable, extract_h_mu, g_from_h,
                         subiaco_shape, to_bivariate)
 # perfbench's tracer test checks that embed_subfield is patched here
 from .gf2 import (Embedding, FieldElement, FieldSpec, InternalCheckError,
-                  embed_subfield, half_embedding, linear_table,  # noqa: F401
+                  embed_subfield, half_embedding,  # noqa: F401
                   on_unit_circle, unit_circle_element)
 from .niho import FamilySpec, build_bent
 
@@ -150,8 +150,7 @@ class SubiacoParams:
 
 def _square_plus_x(field: FieldSpec) -> np.ndarray:
     """Table of the GF(2)-linear map x -> x^2 + x."""
-    return linear_table([field.frob_bits(1 << i) ^ (1 << i)
-                         for i in range(field.degree)])
+    return field.frob_table(1) ^ np.arange(field.order)
 
 
 def _kept_on_params(build):
@@ -296,7 +295,7 @@ def _adelaide_points(p: AdelaideParams):
     x^(1/2) (the square root commutes with the embedding) and
     1 / (x + tr(beta) x^(1/2) + 1)^(l-1)."""
     big = p.beta.field
-    x = np.asarray(p.emb.table)
+    x = p.emb.table
     sx = x[p.emb.small.sqrt_table()]
     den = x ^ big.table_mul(p.trb.bits, sx) ^ 1
     return x, sx, big.table_inv(big.table_pow(den, p.l - 1))
@@ -358,9 +357,7 @@ def frobenius_map(field: FieldSpec, i: int) -> MappingTable:
     """z -> z^(2^i); an o-polynomial exactly when gcd(i, m) = 1."""
     if i < 0:
         raise ValueError("Frobenius power must be >= 0")
-    # Frobenius is GF(2)-linear, so its basis images give the table
-    return MappingTable(field, linear_table(
-        [field.frob_bits(1 << j, i) for j in range(field.degree)]))
+    return MappingTable(field, field.frob_table(i % field.degree))
 
 
 @dataclass

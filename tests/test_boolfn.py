@@ -158,6 +158,13 @@ def test_trace_form_validation():
         TraceForm(GF16, [TraceTerm(2, GF16.el(1), 3)])
 
 
+def test_trace_form_takes_trace_terms_only():
+    # a bare (r, c, e) tuple is no longer a term
+    with pytest.raises(TypeError, match="trace terms must be TraceTerm, "
+                                        "got tuple"):
+        TraceForm(GF16, [(4, GF16.el(0x2), 10)])
+
+
 def test_trace_form_matches_pointwise_evaluation():
     F = GF(6)
     a = F.el(0x7)

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (oracle_dual_basis, oracle_embedding_table,
-                      oracle_exp_log, oracle_gram_rows, oracle_irreducible,
-                      oracle_mul, oracle_mul_array, oracle_pow,
-                      oracle_rel_trace, oracle_subfield_bits, oracle_trace,
-                      oracle_trace_table)
+                      oracle_exp_log, oracle_frobenius, oracle_gram_rows,
+                      oracle_irreducible, oracle_mul, oracle_mul_array,
+                      oracle_pairing, oracle_pow, oracle_rel_trace,
+                      oracle_subfield_bits, oracle_trace, oracle_trace_table)
 from nihobent import (GF, Embedding, FieldMismatchError, FieldSpec,
                       InternalCheckError, default_modulus, embed_subfield,
                       half_embedding, linear_table, on_unit_circle,
@@ -150,7 +150,7 @@ def test_generator_has_full_order():
 def test_dual_basis_property():
     for k in range(1, 21):
         F = GF(k)
-        assert F.gram_rows() == oracle_gram_rows(F)
+        assert F.gram_rows().tolist() == oracle_gram_rows(F)
         dual = F.dual_basis_bits()
         assert dual == oracle_dual_basis(F)
         for i in range(k):
@@ -207,7 +207,7 @@ def test_table_kernels_match_oracles(k):
         assert F.table_mul(c, np.arange(F.order)).tolist() == \
             [oracle_mul(c, x, F.modulus, k) for x in range(F.order)]
     for r in (d for d in range(1, k + 1) if k % d == 0):
-        assert F.subfield_bits(r) == oracle_subfield_bits(F, r)
+        assert F.subfield_bits(r).tolist() == oracle_subfield_bits(F, r)
         assert F.subfield_trace_table(r).tolist() == oracle_trace_table(F, r)
 
 
@@ -281,9 +281,88 @@ def test_cached_tables_are_read_only():
             tab[1] = tab[0]
     assert F._exp.readonly and F._log.readonly
     assert F.pairing_table() is tables["pairing"]
-    # the subfield and Gram rows stay plain lists
-    assert isinstance(F.subfield_bits(3), list)
-    assert isinstance(F.gram_rows(), list)
+    # the subfield list, the Gram rows, every Frobenius table and the
+    # embedding table are read-only arrays too
+    given = [F.subfield_bits(3), F.gram_rows(), F.frob_table(1),
+             F.frob_table(3), embed_subfield(GF(3), GF(6)).table]
+    for tab in given:
+        assert tab.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            tab[1] = tab[0]
+
+
+def test_writes_into_shared_tables_leave_later_callers_intact():
+    # a reversed subfield list made the next Embedding raise "embedding
+    # image is not the subfield", and an appended Gram row made the next
+    # gram_rows() return k + 1 rows: every such write now raises
+    F, S = FieldSpec(6), GF(3)
+    sub, rows = F.subfield_bits(3), F.gram_rows()
+    with pytest.raises(ValueError, match="read-only"):
+        sub[:] = sub[::-1]
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] ^= 1
+    with pytest.raises(ValueError, match="read-only"):
+        F.frob_table(1)[2] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        Embedding(S, F).table[1] = 0
+    emb = Embedding(S, F)
+    assert emb.table.tolist() == oracle_embedding_table(S, F)
+    assert F.gram_rows().tolist() == oracle_gram_rows(F)
+    assert F.pairing_table().tolist() == oracle_pairing(F)
+    # the element an Embedding hands out holds a Python int
+    assert type(emb(S.el(5)).bits) is int
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 8])
+def test_frob_table_matches_oracle(k):
+    F = GF(k)
+    for i in range(k + 2):
+        assert F.frob_table(i).tolist() == oracle_frobenius(F, i)
+        assert F.frob_table(i) is F.frob_table(i)
+    assert F.sqrt_table() is F.frob_table(k - 1)
+
+
+def test_embedding_checks_fire(monkeypatch):
+    # each self-check of Embedding raises its message when its relation
+    # is broken; fresh specs keep the faults out of the GF() cache
+    S, B = FieldSpec(3), FieldSpec(6)
+    assert Embedding(S, B).table.tolist() == oracle_embedding_table(S, B)
+    # a root of the reciprocal modulus X^3 + X^2 + 1 is a wrong root for
+    # S, whose arithmetic is modulo X^3 + X + 1
+    with monkeypatch.context() as mp:
+        mp.setattr(S, "modulus", 0b1101)
+        with pytest.raises(AssertionError,
+                           match="embedding is not multiplicative"):
+            Embedding(S, B)
+    # a subfield list with its largest element swapped for an element
+    # outside GF(2^3)
+    sub = B.subfield_bits(3)
+    fake = np.append(sub[:-1], B.generator)
+    with monkeypatch.context() as mp:
+        mp.setitem(B._derived, ("subfield_bits", 3), fake)
+        with pytest.raises(AssertionError,
+                           match="embedding image is not the subfield"):
+            Embedding(S, B)
+    assert Embedding(S, B).table.tolist() == oracle_embedding_table(S, B)
+
+
+def test_dual_table_checks_fire(monkeypatch):
+    # the identity is a bijective pairing table, but the polynomial basis
+    # of GF(2^4) is not self-dual; a repeated Gram row is degenerate
+    with monkeypatch.context() as mp:
+        mp.setattr(FieldSpec, "pairing_table",
+                   lambda self: np.arange(self.order))
+        with pytest.raises(AssertionError,
+                           match="dual basis verification failed"):
+            FieldSpec(4).dual_table()
+    with monkeypatch.context() as mp:
+        mp.setattr(FieldSpec, "pairing_table",
+                   lambda self: linear_table([1] * self.degree))
+        with pytest.raises(AssertionError,
+                           match="trace form is non-degenerate"):
+            FieldSpec(4).dual_table()
+    F = FieldSpec(4)
+    assert F.dual_basis_bits() == oracle_dual_basis(F)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -393,7 +472,8 @@ def test_project_table_round_trip(r, k):
                                  (6, 12), (7, 14), (5, 15), (8, 16)])
 def test_embedding_matches_oracle(r, k):
     S, B = GF(r), GF(k)
-    assert embed_subfield(S, B).table == oracle_embedding_table(S, B)
+    assert embed_subfield(S, B).table.tolist() == \
+        oracle_embedding_table(S, B)
 
 
 def test_embedding_frozen_table():
