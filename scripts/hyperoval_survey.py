@@ -16,13 +16,13 @@ from collections import Counter
 
 from nihobent import (GF, AdelaideParams, SubiacoParams, adelaide_fs,
                       adelaide_pair, correspond_adelaide, correspond_subiaco,
-                      half_embedding, is_opolynomial, on_unit_circle,
-                      opoly_normalize, subiaco_fs, subiaco_pair, unit_circle)
+                      half_embedding, is_opolynomial, opoly_normalize,
+                      subiaco_fs, subiaco_pair, unit_circle)
 
 
 def circle(big):
     """The unit circle of big without 1, in bitmask order."""
-    return [u for u in unit_circle(big) if on_unit_circle(u)]
+    return [big.el(u) for u in unit_circle(big)[1:]]
 
 
 def catalog_instances(m):

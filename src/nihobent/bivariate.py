@@ -240,7 +240,7 @@ def extract_h_mu(biv: BivariateTable) -> tuple[MappingTable, FieldElement]:
     # tr(c x) has GF(2) functional a exactly when c = dual_table[a]
     coords = small.dual_table()[func]
     return (MappingTable(small, coords[1:]),
-            FieldElement(int(coords[0]), small))
+            FieldElement(coords[0], small))
 
 
 def g_from_h(h: MappingTable, mu: FieldElement) -> MappingTable:
@@ -385,13 +385,14 @@ def _half_degree(b: FieldElement, other: FieldSpec, emb: Embedding,
 
 
 def _project(emb: Embedding, vals: np.ndarray) -> MappingTable:
-    """The preimages of closed-form values; a value outside GF(2^m)
-    (one that y^(2^m) moves) is an internal error naming the first."""
-    bad = np.flatnonzero(emb.big.table_pow(vals, emb.small.order) != vals)
-    if bad.size:
-        raise InternalCheckError(
-            f"closed form produced 0x{vals[bad[0]]:x} outside the subfield")
-    return MappingTable(emb.small, emb.project_table(vals))
+    """The preimages of closed-form values; a value outside GF(2^m) is
+    an internal error naming the first."""
+    try:
+        return MappingTable(emb.small, emb.project_table(vals))
+    except ValueError as exc:
+        # project_table's message starts with that value
+        raise InternalCheckError(f"closed form produced {str(exc).split()[0]}"
+                                 f" outside the subfield") from exc
 
 
 def closed_form_g(b: FieldElement, basis: BasisPair,
@@ -466,10 +467,9 @@ def closed_form_g_circle(b: FieldElement, u: FieldElement, emb: Embedding,
         big, z, w.bits, [k.bits for k in coeffs], (a * w).sqrt().bits))
 
 
-def verify_trace_identities(b: FieldElement, u: FieldElement,
-                            v: FieldElement | None = None) -> bool:
+def verify_trace_identities(b: FieldElement, u: FieldElement) -> bool:
     """The three trace identities used to reduce the circle form of G,
-    plus the square-root expansion of (u + v z)^((2^m+1)/2) on every
+    plus the square-root expansion of (u + z)^((2^m+1)/2) on every
     subfield point z, as one table comparison.  b = 0 is allowed
     (everything degenerates to 0)."""
     big = u.field
@@ -478,8 +478,6 @@ def verify_trace_identities(b: FieldElement, u: FieldElement,
     if not on_unit_circle(u):
         raise ValueError("u must lie on the unit circle outside GF(2^m)")
     m = big.degree // 2
-    if v is None:
-        v = big.one
     bq = b.frob(m)
     w = u + u.frob(m)
     tb = b + bq
@@ -493,11 +491,9 @@ def verify_trace_identities(b: FieldElement, u: FieldElement,
         return False
     qm1 = (1 << m) + 1
     half = big.order // 2
-    t_lin = (u.frob(m) * v).rel_trace(m)
     z = big.subfield_bits(m)
-    # x^(1/2) = x^(2^(n-1))
-    lhs = big.table_pow(big.table_mul(v.bits, z) ^ u.bits, qm1 * half)
+    # x^(1/2) = x^(2^(n-1)), and the linear term's tr(u^(2^m)) is w
+    lhs = big.table_pow(np.bitwise_xor(z, u.bits), qm1 * half)
     rhs = (u ** qm1).sqrt().bits \
-        ^ big.table_mul(t_lin.sqrt().bits, big.table_pow(z, half)) \
-        ^ big.table_mul((v ** qm1).sqrt().bits, z)
+        ^ big.table_mul(w.sqrt().bits, big.table_pow(z, half)) ^ z
     return bool((lhs == rhs).all())

@@ -16,24 +16,24 @@ Reproducibility conventions:
     order is 2^k - 1.
 
 Every table gf2 gives out is a read-only int64 numpy array: a field map
-or an Embedding's table indexed by bitmask, the sorted subfield list and
-the Gram rows by position.  Callers index it as it is, and none can
-corrupt it for the next.  The field maps are GF(2)-linear maps of the
-bitmask, built by one kernel, linear_table, from their k basis images
-(computed with the shift-and-xor primitive _mul_raw) by XOR-doubling in
-O(2^k) word operations; frob_table(i) is x -> x^(2^i), and sqrt_table
-is its i = k - 1 case.  The exp/log pair is doubled the same way
-through the multiply-by-g^(2^i) tables at construction, for every
-degree.  exp is stored twice over and then a 0 that log[0] points at,
-so a product is one gather at log a + log b with no modulo and no zero
-mask; scalar mul, pow, inv and sqrt index the pair in O(1) through
-memoryviews, and table_mul, table_inv and table_pow apply the same
-arithmetic entrywise to bitmask arrays.  table_mul(c, t) is also the
-one way to multiply a table by a constant, and exp_windows is a cached
-strided view of exp_cycle whose rows are its windows of length 2^k - 1.
-The pair takes 3 * 2^(k+3) bytes, 24 MiB at the degree cap k = 20.
-Every table a FieldSpec holds or caches is a pure function of it, so
-instances can be shared freely across threads.
+or an Embedding's table indexed by bitmask, the sorted subfield list,
+the sorted unit circle and the Gram rows by position.  Callers index it
+as it is, and none can corrupt it for the next.  The field maps are
+GF(2)-linear maps of the bitmask, built by one kernel, linear_table,
+from their k basis images (computed with the shift-and-xor primitive
+_mul_raw) by XOR-doubling in O(2^k) word operations; frob_table(i) is
+x -> x^(2^i), and sqrt_table is its i = k - 1 case.  The exp/log pair is
+doubled the same way through the multiply-by-g^(2^i) tables at
+construction, for every degree.  exp is stored twice over and then a 0
+that log[0] points at, so a product is one gather at log a + log b with
+no modulo and no zero mask; scalar mul, pow, inv and sqrt index the pair
+in O(1) through memoryviews, and table_mul, table_inv and table_pow
+apply the same arithmetic entrywise to bitmask arrays.  table_mul(c, t)
+is also the one way to multiply a table by a constant, and exp_windows
+is a cached strided view of exp_cycle whose rows are its windows of
+length 2^k - 1.  The pair takes 3 * 2^(k+3) bytes, 24 MiB at the degree
+cap k = 20.  Every table a FieldSpec holds or caches is a pure function
+of it, so instances can be shared freely across threads.
 
 The trace pairing (w, x) -> tr(w x) lives here alone: gram_rows is its
 Gram matrix M on the polynomial basis (a Hankel matrix of the traces of
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 
 import numpy as np
@@ -158,10 +159,9 @@ def _factorize(n: int) -> list[int]:
 
 
 def _memo(build):
-    """FieldSpec method decorator: build(self, *args) runs once per spec
-    and args, and its result, always a numpy array, is kept in
-    self._derived.  The kept array is made read-only, so no caller can
-    corrupt it for the next."""
+    """FieldSpec method (or one-spec function) decorator: build(self,
+    *args) runs once per spec and args, and its result, a numpy array,
+    is kept in self._derived, read-only, so no caller can corrupt it."""
     @functools.wraps(build)
     def method(self, *args):
         key = (build.__name__, *args)
@@ -507,8 +507,9 @@ def _mismatch(a: FieldSpec, b: FieldSpec, message: str = ""):
 
 
 class FieldElement:
-    """A bitmask plus its FieldSpec.  Plain ints mixed into arithmetic are
-    read as bitmasks of the same field.
+    """A bitmask, any integer but kept as a Python int, plus its
+    FieldSpec.  Plain ints mixed into arithmetic are read as bitmasks of
+    the same field.
 
     The field guard of every operation is ``is``: operands of two spec
     objects raise FieldMismatchError.  The hash is the bitmask alone, so
@@ -517,6 +518,7 @@ class FieldElement:
     __slots__ = ("bits", "field")
 
     def __init__(self, bits: int, field: FieldSpec):
+        bits = operator.index(bits)
         if not 0 <= bits < field.order:
             raise ValueError(f"bitmask 0x{bits:x} out of range for "
                              f"GF(2^{field.degree})")
@@ -690,7 +692,7 @@ class Embedding:
                 raise _mismatch(x.field, self.small,
                                 "element is not in the small field")
             x = x.bits
-        return FieldElement(int(self.table[x]), self.big)
+        return FieldElement(self.table[x], self.big)
 
     def _locate(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Positions of values in the sorted image, and which are hits."""
@@ -712,7 +714,7 @@ class Embedding:
         if y.field is not self.big:
             raise _mismatch(y.field, self.big,
                             "element is not in the big field")
-        return FieldElement(int(self.project_table(y.bits)), self.small)
+        return FieldElement(self.project_table(y.bits), self.small)
 
     def contains(self, y: FieldElement) -> bool:
         return y.field is self.big and bool(self._locate(y.bits)[1])
@@ -749,18 +751,19 @@ def on_unit_circle(x: FieldElement) -> bool:
     return x.bits != 1 and x.field.pow_bits(x.bits, (1 << m) + 1) == 1
 
 
-def unit_circle(field: FieldSpec) -> list[FieldElement]:
-    """All solutions of x^(2^m + 1) = 1 in GF(2^n), n = 2m, in bitmask
-    order.  This is the cyclic group of order 2^m + 1 (the norm-1 circle
-    over the subfield GF(2^m))."""
+@_memo
+def unit_circle(field: FieldSpec) -> np.ndarray:
+    """The solutions of x^(2^m + 1) = 1 in GF(2^n), n = 2m, ascending, 1
+    first: the cyclic group of order 2^m + 1 (the norm-1 circle over the
+    subfield GF(2^m)), as a cached table like every other."""
     c = (1 << _half_degree(field)) + 1
-    step = field.mult_order // c
-    # the powers h^i, i < c, of h = g^step
-    bits = field.exp_table[::step]
-    h = field.pow_bits(field.generator, step)
-    if field.mul_bits(int(bits[-1]), h) != 1 or len(np.unique(bits)) != c:
+    # the powers h^i, i < c, of h = g^step: distinct, and h^(c-1) h = 1
+    bits = field.exp_table[::field.mult_order // c]
+    circle = np.sort(bits)
+    if field.mul_bits(bits[-1], bits[1]) != 1 or \
+            (circle[1:] <= circle[:-1]).any():
         raise AssertionError("circle enumeration failed")
-    return [FieldElement(b, field) for b in np.sort(bits).tolist()]
+    return circle
 
 
 def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:
@@ -796,7 +799,7 @@ def unit_circle_element(field: FieldSpec, selector: str) -> FieldElement:
         circle = unit_circle(field)[1:]  # 1 is the smallest bitmask
         if i >= len(circle):
             raise ValueError(f"general index must be in 0..{len(circle)-1}")
-        u = circle[i].bits
+        u = circle[i]
     el = FieldElement(u, field)
     if not on_unit_circle(el):
         raise AssertionError("selector produced a non-circle element")

@@ -596,6 +596,13 @@ def monomial(field, a, d, c):
             ^ c).tolist()
 
 
+def circle_points(field):
+    """The unit circle of field = GF(2^(2m)) without 1, as elements in
+    bitmask order: every u or beta that the bridge accepts."""
+    from nihobent import unit_circle
+    return [field.el(u) for u in unit_circle(field)[1:]]
+
+
 def truth_table_from_function(n, fn):
     """TruthTable of fn(x) & 1 over the bitmasks x of n bits."""
     from nihobent import TruthTable

@@ -11,7 +11,8 @@ from math import gcd
 
 import pytest
 
-from conftest import oracle_walsh_field, oracle_walsh_plain, random_table
+from conftest import (circle_points, oracle_walsh_field, oracle_walsh_plain,
+                      random_table)
 from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       MappingTable, SubiacoParams, VerificationError,
                       adelaide_fs, adelaide_pair, build_bent,
@@ -20,7 +21,7 @@ from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
                       embed_subfield, extract_h_mu, family_exponent,
                       g_from_h, is_fifth_power, is_opolynomial, subiaco_fs,
                       subiaco_fs_explicit, subiaco_pair, to_bivariate,
-                      unit_circle, unit_circle_element, walsh_spectrum)
+                      unit_circle_element, walsh_spectrum)
 from nihobent import ovals
 from nihobent.boolfn import anf_degree
 from nihobent.cli import main
@@ -146,7 +147,7 @@ def test_criterion_05_closed_form_matches_extraction(capsys):
         for m in (2, 3):
             F, S = GF(2 * m), GF(m)
             emb = embed_subfield(S, F)
-            circle = [u for u in unit_circle(F) if u.bits != 1]
+            circle = circle_points(F)
             for bb in range(1, 1 << (2 * m)):
                 b = F.el(bb)
                 tt = build_bent(
@@ -182,7 +183,7 @@ def test_criterion_06_trace_identities(capsys):
         from nihobent import verify_trace_identities
         for m in (2, 3):
             F = GF(2 * m)
-            circle = [u for u in unit_circle(F) if u.bits != 1]
+            circle = circle_points(F)
             for bb in range(1 << (2 * m)):
                 for u in circle:
                     assert verify_trace_identities(F.el(bb), u) is True
@@ -226,7 +227,7 @@ def test_criterion_08_adelaide_opolynomials(capsys):
         for m in (2, 4):
             big, small = GF(2 * m), GF(m)
             emb = embed_subfield(small, big)
-            for beta in [c for c in unit_circle(big) if c.bits != 1]:
+            for beta in circle_points(big):
                 p = AdelaideParams(beta, emb)
                 f, g = adelaide_pair(p)
                 assert is_opolynomial(f) and is_opolynomial(g)
@@ -235,7 +236,7 @@ def test_criterion_08_adelaide_opolynomials(capsys):
         big, small = GF(12), GF(6)
         emb = embed_subfield(small, big)
         rng = random.Random(0xB347 + 8)
-        betas = [c for c in unit_circle(big) if c.bits != 1]
+        betas = circle_points(big)
         for beta in rng.sample(betas, 4):
             p = AdelaideParams(beta, emb)
             f, g = adelaide_pair(p)
@@ -270,7 +271,7 @@ def test_criterion_09_correspondences(capsys):
         assert s_seen_m2 == set(range(4))
         for m in (2, 4):
             big = GF(2 * m)
-            for beta in [c for c in unit_circle(big) if c.bits != 1]:
+            for beta in circle_points(big):
                 assert correspond_adelaide(beta).verified
 
     _run(capsys, 9, "bent-to-catalog correspondences verify pointwise",
@@ -337,7 +338,7 @@ def test_negative_control_correspondence_verified(capsys, monkeypatch):
                   ["--family", "subiaco", "--b", f"0x{b:x}"])
                  for m, b in ((3, 0x1), (2, 0x5), (4, 0x1))]
         for m in (2, 4):
-            beta = next(u for u in unit_circle(GF(2 * m)) if u.bits != 1)
+            beta = circle_points(GF(2 * m))[0]
             calls.append((m, lambda beta=beta: correspond_adelaide(beta),
                           ["--family", "adelaide",
                            "--beta", f"0x{beta.bits:x}"]))

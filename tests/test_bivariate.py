@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (bent_or_mutated, monomial, oracle_closed_form_g,
-                      oracle_closed_form_g_circle, oracle_extract,
+from conftest import (bent_or_mutated, circle_points, monomial,
+                      oracle_closed_form_g, oracle_closed_form_g_circle,
+                      oracle_extract,
                       oracle_extract_h_mu, oracle_g_from_h, oracle_is_opoly,
                       oracle_is_permutation, oracle_normalize,
                       oracle_table_json, oracle_trace_identities,
@@ -135,7 +136,7 @@ def test_table_json_and_permutation_match_oracles(m, data):
 def test_bivariate_table_is_reindexed_truth_table():
     F, S, emb = _setup(2)
     tt = build_bent(FamilySpec("binomial3", 2, b=F.el(0x2))).truth_table()
-    u = unit_circle(F)[1]
+    u = F.el(unit_circle(F)[1])
     biv = to_bivariate(tt, BasisPair(u, F.one), emb)
     assert biv.weight() == tt.weight()
     for x in range(4):
@@ -147,10 +148,10 @@ def test_bivariate_table_is_reindexed_truth_table():
 @pytest.mark.parametrize("m", [2, 3])
 def test_extraction_matches_bruteforce(m):
     F, S, emb = _setup(m)
-    circ = unit_circle(F)
+    circ = circle_points(F)
     for bbits in (1, 3, (1 << m) + 2):
         tt = build_bent(FamilySpec("binomial3", m, b=F.el(bbits))).truth_table()
-        for u in (circ[1], circ[2]):
+        for u in (circ[0], circ[1]):
             biv = to_bivariate(tt, BasisPair(u, F.one), emb)
             h, mu = extract_h_mu(biv)
             want = oracle_extract(tt, F, u.bits, 1, S, emb)
@@ -173,7 +174,7 @@ def test_non_class_h_raises():
     mask = 0x356
     tt = TruthTable(4, [(mask >> i) & 1 for i in range(16)])
     F, S, emb = _setup(2)
-    biv = to_bivariate(tt, BasisPair(unit_circle(F)[1], F.one), emb)
+    biv = to_bivariate(tt, BasisPair(F.el(unit_circle(F)[1]), F.one), emb)
     with pytest.raises(NotClassHError) as want:
         oracle_extract_h_mu(biv)
     with pytest.raises(NotClassHError) as got:
@@ -185,7 +186,7 @@ def test_non_class_h_raises():
     vals = build_bent(FamilySpec("binomial3", 2, b=F.el(0x2))) \
         .truth_table().values ^ 1
     biv = to_bivariate(TruthTable(4, vals),
-                       BasisPair(unit_circle(F)[1], F.one), emb)
+                       BasisPair(F.el(unit_circle(F)[1]), F.one), emb)
     with pytest.raises(NotClassHError) as got:
         extract_h_mu(biv)
     assert got.value.z is None
@@ -198,7 +199,7 @@ def test_extraction_kernel_matches_oracle(m, data):
     per-point extraction returns, or fails on the same line."""
     F, tt = bent_or_mutated(m, data)
     emb = embed_subfield(GF(m), F)
-    u = data.draw(st.sampled_from([c for c in unit_circle(F) if c.bits != 1]))
+    u = data.draw(st.sampled_from(circle_points(F)))
     biv = to_bivariate(tt, BasisPair(u, F.one), emb)
     try:
         want = oracle_extract_h_mu(biv)
@@ -255,7 +256,7 @@ def catalog_member(m, data):
     if kind == "adelaide":
         F = GF(2 * m)
         beta = data.draw(st.sampled_from(
-            [u for u in unit_circle(F) if u.bits != 1]))
+            circle_points(F)))
         return adelaide_fs(AdelaideParams(beta, embed_subfield(S, F)), s)
     if kind == 1:
         params = SubiacoParams.case_i(S)
@@ -424,7 +425,7 @@ def test_map_helpers_match_oracles(m, data):
 @pytest.mark.parametrize("m", [2, 3])
 def test_closed_form_matches_extraction_circle(m):
     F, S, emb = _setup(m)
-    circ = [u for u in unit_circle(F) if u.bits != 1]
+    circ = circle_points(F)
     for bbits in range(1, 1 << (2 * m)):
         b = F.el(bbits)
         tt = build_bent(FamilySpec("binomial3", m, b=b)).truth_table()
@@ -450,7 +451,7 @@ def test_closed_form_general_basis():
 @pytest.mark.parametrize("m", [2, 3])
 def test_trace_identities_all_admissible(m):
     F = GF(2 * m)
-    circ = [u for u in unit_circle(F) if u.bits != 1]
+    circ = circle_points(F)
     for bbits in range(0, 1 << (2 * m), 5):
         for u in circ:
             assert verify_trace_identities(F.el(bbits), u) is True
@@ -469,7 +470,7 @@ def test_trace_identities_negative_controls(monkeypatch):
     # does not read b), and points outside GF(2^m) break the expansion:
     # both read False
     F = GF(6)
-    b, u = F.el(0x5), unit_circle(F)[1]
+    b, u = F.el(0x5), F.el(unit_circle(F)[1])
     assert verify_trace_identities(b, u)
     off = _OffConjugate(b.bits, F)
     assert verify_trace_identities(off, u) is False
@@ -489,10 +490,10 @@ def _check_closed_forms(m, bs, us):
         v = next(F.gen ** k for k in range(1, F.order)
                  if not (u / F.gen ** k).in_subfield(m))
         for b in bs:
+            assert verify_trace_identities(b, u) is True
             for basis in (BasisPair(u, F.one), BasisPair(u, v)):
                 assert list(closed_form_g(b, basis, emb).entries) == \
                     oracle_closed_form_g(b, basis, emb)
-                assert verify_trace_identities(b, u, basis.v) is True
                 assert oracle_trace_identities(b, u, basis.v) is True
             for reduced in (False, True):
                 assert list(closed_form_g_circle(b, u, emb,
@@ -504,14 +505,14 @@ def _check_closed_forms(m, bs, us):
 def test_closed_forms_match_scalar_oracles(m):
     F = GF(2 * m)
     _check_closed_forms(m, [F.el(x) for x in range(1, F.order)],
-                        [u for u in unit_circle(F) if u.bits != 1])
+                        circle_points(F))
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_closed_forms_match_scalar_oracles_sampled(m):
     F = GF(2 * m)
     rng = random.Random(0xC105 + m)
-    circle = [u for u in unit_circle(F) if u.bits != 1]
+    circle = circle_points(F)
     _check_closed_forms(m, [F.el(x) for x in
                             rng.sample(range(1, F.order), 12)],
                         rng.sample(circle, 3))

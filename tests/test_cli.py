@@ -480,3 +480,59 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+
+
+CLI_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "data", "cli")
+# x -> x^2 over GF(2^3), the README's table.json
+README_TABLE = ["0x0", "0x1", "0x4", "0x5", "0x6", "0x7", "0x2", "0x3"]
+# recorded stdout file name -> argv: the README examples, with their
+# relative file names, and correspond at circle points picked by index
+CLI_CASES = {
+    "readme_build": ["build", "--family", "binomial3", "--m", "3",
+                     "--b", "0x5", "--out", "f.tt"],
+    "readme_check": ["check", "f.tt", "--spectrum-out", "spectrum.json"],
+    "readme_correspond_subiaco": ["correspond", "--family", "subiaco",
+                                  "--m", "3", "--b", "0x5"],
+    "readme_correspond_adelaide": ["correspond", "--family", "adelaide",
+                                   "--m", "2", "--beta", "0x8"],
+    "readme_opoly_subiaco": ["opoly", "--source", "subiaco", "--m", "5",
+                             "--case", "1", "--s", "0x11"],
+    "readme_opoly_adelaide": ["opoly", "--source", "adelaide", "--m", "2",
+                              "--beta", "0x8"],
+    "readme_opoly_frobenius": ["opoly", "--source", "frobenius", "--m", "6",
+                               "--exponent", "2"],
+    "readme_opoly_file": ["opoly", "--source", "file",
+                          "--file", "table.json"],
+    **{f"correspond_subiaco_m4_general{i}": [
+        "correspond", "--family", "subiaco", "--m", "4", "--b", "0x1",
+        "--u", f"general:{i}"] for i in (0, 7, 14)},
+    "correspond_subiaco_m8_general200": [
+        "correspond", "--family", "subiaco", "--m", "8", "--b", "0x1",
+        "--u", "general:200"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout_frozen(name, tmp_path, monkeypatch, capsys):
+    # in an empty directory holding the README's f.tt and table.json, so
+    # that the file names in each report are the same on every run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(json.dumps(README_TABLE))
+    assert main(list(CLI_CASES["readme_build"])) == 0
+    capsys.readouterr()
+    assert main(list(CLI_CASES[name])) == 0
+    with open(os.path.join(CLI_DATA, f"{name}.json"), encoding="ascii") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_correspond_by_circle_index_imports_no_numpy_ma():
+    # numpy.ma costs about 10 ms to import and no command needs it
+    probe = ("import sys\n"
+             "from nihobent import cli\n"
+             "code = cli.main(['correspond', '--family', 'subiaco',"
+             " '--m', '8', '--b', '1'])\n"
+             "sys.exit(code or 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 0

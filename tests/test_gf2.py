@@ -1,6 +1,7 @@
 """Field arithmetic, embeddings and the unit circle."""
 
 import itertools
+import json
 import operator
 import random
 import re
@@ -9,15 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (oracle_dual_basis, oracle_embedding_table,
-                      oracle_exp_log, oracle_frobenius, oracle_gram_rows,
+from conftest import (circle_points, oracle_dual_basis,
+                      oracle_embedding_table, oracle_exp_log,
+                      oracle_frobenius, oracle_gram_rows,
                       oracle_irreducible, oracle_mul, oracle_mul_array,
                       oracle_pairing, oracle_pow, oracle_rel_trace,
                       oracle_subfield_bits, oracle_trace, oracle_trace_table)
-from nihobent import (GF, Embedding, FieldMismatchError, FieldSpec,
-                      InternalCheckError, default_modulus, embed_subfield,
-                      half_embedding, linear_table, on_unit_circle,
-                      unit_circle, unit_circle_element)
+from nihobent import (GF, Embedding, FieldElement, FieldMismatchError,
+                      FieldSpec, InternalCheckError, default_modulus,
+                      embed_subfield, half_embedding, linear_table,
+                      on_unit_circle, unit_circle, unit_circle_element)
 from nihobent.gf2 import parse_hex, parse_hex_list
 
 GF8 = GF(3, 0xB)
@@ -502,7 +504,7 @@ def test_embedding_rejects_bad_degrees():
 
 def test_unit_circle_frozen_m2():
     circ = unit_circle(GF16)
-    assert sorted(c.bits for c in circ) == [0x1, 0x8, 0xA, 0xC, 0xF]
+    assert circ.tolist() == [0x1, 0x8, 0xA, 0xC, 0xF]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -510,7 +512,7 @@ def test_unit_circle_properties(m):
     F = GF(2 * m)
     circ = unit_circle(F)
     assert len(circ) == (1 << m) + 1
-    for c in circ:
+    for c in map(F.el, circ):
         assert (c ** ((1 << m) + 1)).bits == 1
 
 
@@ -530,13 +532,51 @@ def test_unit_circle_element_selectors():
     g = unit_circle_element(F64, "general:2")
     assert (g ** ((1 << 3) + 1)).bits == 1
     # general:I is the I-th element of the circle with 1 removed
-    rest = [x for x in unit_circle(F64) if x.bits != 1]
+    rest = circle_points(F64)
     assert [unit_circle_element(F64, f"general:{i}")
             for i in range(len(rest))] == rest
     with pytest.raises(ValueError):
         unit_circle_element(F64, f"general:{len(rest)}")
     with pytest.raises(ValueError):
         unit_circle_element(GF16, "nonsense")
+
+
+def test_unit_circle_is_one_cached_read_only_table(monkeypatch):
+    # a fresh spec, so that the first call builds the table here
+    F = FieldSpec(16)
+    built = []
+    real = FieldElement.__init__
+
+    def counted(self, bits, field):
+        built.append(bits)
+        real(self, bits, field)
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    circ = unit_circle(F)
+    assert unit_circle(F) is circ and built == []
+    assert circ.dtype == np.int64 and not circ.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        circ[1] = 1
+    # ascending, 1 first, and exactly the solutions of x^(2^m + 1) = 1
+    powers = F.table_pow(np.arange(1, F.order), 257)
+    assert circ.tolist() == (np.flatnonzero(powers == 1) + 1).tolist()
+    # general:I indexes the table and builds only the element it returns
+    assert unit_circle_element(F, "general:200").bits == circ[201]
+    assert len(built) == 1
+
+
+def test_unit_circle_checks_fire():
+    # a repeated power fails the sort-and-compare, and powers of g^step
+    # shifted by g fail the closure h^(2^m) h = 1
+    for shift in ("repeat", "roll"):
+        F = FieldSpec(6)
+        exp = F.exp_table.copy()
+        if shift == "repeat":
+            exp[7] = exp[0]
+        else:
+            exp = np.roll(exp, -1)
+        F.exp_table = exp
+        with pytest.raises(AssertionError, match="circle enumeration"):
+            unit_circle(F)
 
 
 def test_field_mismatch_raises():
@@ -586,6 +626,21 @@ def test_int_coercion_and_hex_str():
     assert x + 0x3 == GF16.el(0x9)
     assert x == 0xA
     assert str(x) == "0xa"
+
+
+def test_elements_take_integer_bitmasks_only():
+    # a float was stored as it was, and its repr then raised; a numpy
+    # integer was kept as one, and json.dumps refused its bits
+    for bad in (5.0, "5", None, np.float64(5)):
+        with pytest.raises(TypeError):
+            GF16.el(bad)
+    for bits in (np.int64(5), np.uint8(5), True):
+        x = GF16.el(bits)
+        assert type(x.bits) is int and x == 5 - 4 * (bits is True)
+        assert repr(x).startswith("FieldElement(0x")
+        assert json.loads(json.dumps(x.bits)) == x.bits
+    with pytest.raises(ValueError, match="out of range"):
+        GF16.el(np.int64(16))
 
 
 def test_gf_cache_and_eq():

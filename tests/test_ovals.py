@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (monomial, oracle_adelaide_f1_display,
+from conftest import (circle_points, monomial, oracle_adelaide_f1_display,
                       oracle_adelaide_pair, oracle_blend, oracle_frobenius,
                       oracle_is_opoly, oracle_mul, oracle_subiaco1_explicit,
                       oracle_subiaco1_pair, oracle_subiaco3_explicit,
@@ -126,7 +126,7 @@ def test_blends_match_pointwise_oracle(data):
     if m % 2 == 0:
         big = GF(2 * m)
         beta = data.draw(st.sampled_from(
-            [b for b in unit_circle(big) if b.bits != 1]))
+            circle_points(big)))
         p = AdelaideParams(beta, embed_subfield(field, big))
         f, g = adelaide_pair(p)
         assert list(adelaide_fs(p, s).entries) == \
@@ -260,7 +260,7 @@ def test_blends_build_each_pair_once_per_params(monkeypatch):
     subiaco_fs(SubiacoParams.case_i(GF8), GF8.el(3))
     assert calls["subiaco_shape"] == 7
     small, big = GF(4), GF(8)
-    q = AdelaideParams(unit_circle(big)[5], embed_subfield(small, big))
+    q = AdelaideParams(big.el(unit_circle(big)[5]), embed_subfield(small, big))
     first = adelaide_fs(q, small.el(6))
     assert calls["_adelaide_points"] == 1
     assert adelaide_fs(q, small.el(6)) == first
@@ -320,7 +320,7 @@ def test_adelaide_validation():
         AdelaideParams(GF8.el(2), emb)  # wrong field entirely
     with pytest.raises(ValueError):
         # m odd has no index-3 subgroup of the circle
-        AdelaideParams(unit_circle(GF8 if False else GF(6))[1],
+        AdelaideParams(circle_points(GF(6))[0],
                        embed_subfield(GF8, GF(6)))
 
 
@@ -328,7 +328,7 @@ def test_adelaide_validation():
 def test_adelaide_opolynomials(m):
     big, small = GF(2 * m), GF(m)
     emb = embed_subfield(small, big)
-    betas = [c for c in unit_circle(big) if c.bits != 1]
+    betas = circle_points(big)
     for beta in betas:
         p = AdelaideParams(beta, emb)
         f, g = adelaide_pair(p)
@@ -344,7 +344,7 @@ def test_adelaide_tables_match_scalar_oracles(data):
     m = data.draw(st.sampled_from([2, 4, 6, 8]))
     small, big = GF(m), GF(2 * m)
     beta = data.draw(st.sampled_from(
-        [b for b in unit_circle(big) if b.bits != 1]))
+        circle_points(big)))
     s = small.el(data.draw(st.integers(0, small.order - 1)))
     p = AdelaideParams(beta, embed_subfield(small, big))
     f, g = adelaide_pair(p)
@@ -359,7 +359,7 @@ def test_adelaide_f1_rejects_swapped_member(monkeypatch):
     # negative control: f_1 with two entries swapped must fail the
     # display check at the first swapped point
     small, big = GF(4), GF(8)
-    p = AdelaideParams(unit_circle(big)[5], embed_subfield(small, big))
+    p = AdelaideParams(big.el(unit_circle(big)[5]), embed_subfield(small, big))
     true_fs = ovals.adelaide_fs
     for a, b in ((3, 9), (0, 15), (7, 8)):
         def swapped(params, s, a=a, b=b):
@@ -441,7 +441,7 @@ def test_correspond_subiaco_m2_retries():
 
 def test_correspond_subiaco_m4_forces_b_one():
     F = GF(8)
-    for u in [c for c in unit_circle(F) if c.bits != 1][:4]:
+    for u in circle_points(F)[:4]:
         c = correspond_subiaco(F.one, u=u)
         assert c.verified and c.catalog_case == 3
         assert c.s.bits == 1
@@ -459,7 +459,7 @@ def test_correspond_subiaco_explicit_u():
 def test_correspond_adelaide():
     for m in (2, 4):
         big = GF(2 * m)
-        for beta in [c for c in unit_circle(big) if c.bits != 1]:
+        for beta in circle_points(big):
             c = correspond_adelaide(beta)
             assert c.verified and c.family == "adelaide"
             assert c.points_checked == 1 << m
@@ -505,7 +505,8 @@ def test_verdicts_do_not_depend_on_the_modulus(m, data):
     family = data.draw(st.sampled_from(
         ["binomial3", "binomial4" if m % 2 else "binomial6"]))
     b = base.el(data.draw(st.integers(1, base.order - 1)))
-    circle = [u for u in unit_circle(base) if not u.in_subfield(m)]
+    circle = [u for u in map(base.el, unit_circle(base))
+               if not u.in_subfield(m)]
     beta = data.draw(st.sampled_from(circle))
     want = _verdicts(family, b, beta)
     assert want[0] and want[2] and all(want[3:])
@@ -541,7 +542,7 @@ def test_opoly_verdicts_do_not_depend_on_the_modulus(m):
     members = [subiaco_pair(case)[1], subiaco_fs(case, s)]
     if m % 2 == 0:
         big = GF(2 * m)
-        beta = rng.choice([u for u in unit_circle(big) if u.bits != 1])
+        beta = rng.choice(circle_points(big))
         adel = AdelaideParams(beta, embed_subfield(small, big))
         members += [adelaide_pair(adel)[1], adelaide_fs(adel, s)]
     swapped = list(members[0].entries)
@@ -606,7 +607,7 @@ def test_verdicts_do_not_depend_on_the_generator(m, data):
     beta = None
     if m % 2 == 0:
         beta = data.draw(st.sampled_from(
-            [u.bits for u in unit_circle(big) if u.bits != 1]))
+            unit_circle(big)[1:].tolist()))
     choice = (data.draw(st.integers(0, 2 * m)), case, w,
               data.draw(st.integers(0, small.order - 1)), beta)
     want = _members_and_verdicts(small, big, choice)
