@@ -31,8 +31,9 @@ the row of beta onto that of beta c^(1-d), so the r = gcd(d - 1, q - 1)
 rows b < r decide, and the test costs O(q r).  r is 1 for z^(2^i) with
 gcd(i, m) = 1 (0.05 ms at m = 11, 1.4 ms at m = 16) and q - 1 for every
 table without the symmetry, such as each Subiaco and Adelaide member
-(13 ms at m = 11, 1 s at m = 14, 18 s at m = 16).  That full scan is
-why the test accepts m <= 16 only: a bound by time, not by memory.
+(13 ms at m = 11, 1 s at m = 14, 18 s at m = 16).  More work than that
+full scan, r q > (2^16 - 1) 2^16, is refused before any row is counted:
+a bound by time, not memory, that admits monomials up to m = 20.
 g_from_h, opoly_normalize, is_permutation and is_two_to_one are
 whole-table numpy expressions too, on the read-only int64 array that a
 MappingTable stores.
@@ -67,7 +68,7 @@ __all__ = [
     "is_permutation",
     "is_two_to_one",
     "is_opolynomial",
-    "check_opoly_degree",
+    "check_opoly_work",
     "opoly_normalize",
     "subiaco_shape",
     "closed_form_g",
@@ -274,19 +275,20 @@ def is_two_to_one(t: MappingTable) -> bool:
 # the block's values, offset G rows and fiber counts to a few hundred KiB
 _OPOLY_BLOCK = 1 << 14
 
-# a table without monomial symmetry needs the full scan of all q - 1 beta
-# rows, about 18 s at m = 16 on a 2-core Xeon; larger m is refused rather
-# than left to run for minutes
-_OPOLY_M_MAX = 16
+# the full scan of all q - 1 beta rows at m = 16 takes about 18 s on a
+# 2-core Xeon; more work than that is refused rather than left to run
+# for minutes
+_OPOLY_WORK_MAX = ((1 << 16) - 1) << 16
 
 
-def check_opoly_degree(m: int) -> None:
-    """Raise ValueError unless is_opolynomial accepts degree m, so that
-    a caller can refuse m before it builds any table."""
-    if m > _OPOLY_M_MAX:
+def check_opoly_work(m: int, rows: int) -> None:
+    """Raise ValueError when counting rows beta rows of q = 2^m values
+    is more work than the full scan at m = 16; a caller who knows the
+    row count can refuse before it builds any table."""
+    if rows << m > _OPOLY_WORK_MAX:
         raise ValueError(
-            f"the o-polynomial test needs m <= {_OPOLY_M_MAX} (its full "
-            f"scan takes about 18 s at m = 16); got m = {m}")
+            f"the o-polynomial test would count r = {rows} rows of q = "
+            f"{1 << m} values, more than the full scan at m = 16 (18 s)")
 
 
 def _scan_rows(g: MappingTable) -> int:
@@ -318,10 +320,8 @@ def is_opolynomial(g: MappingTable) -> bool:
     not one is rejected before any row is counted.  When G + G(0) is a
     monomial a z^d, one row per class of beta is counted, r = gcd(d - 1,
     q - 1) rows in all (see _scan_rows), and all q - 1 otherwise: O(q r)
-    work.  Accepts m <= 16 even for monomials, a bound set by the full
-    scan's time."""
+    work, refused by check_opoly_work before any row is counted."""
     field = g.field
-    check_opoly_degree(field.degree)
     if not is_permutation(g):
         return False
     q = field.order
@@ -329,6 +329,7 @@ def is_opolynomial(g: MappingTable) -> bool:
     g_log = entries[field.exp_table]
     # row b of the windows is g^(b + j), j < q - 1: exp_cycle[b:b + q - 1]
     windows = field.exp_windows()[:_scan_rows(g)]
+    check_opoly_work(field.degree, len(windows))
     rows = max(1, min(len(windows), _OPOLY_BLOCK // q))
     # row b (beta = g^b) is G(0), then G(g^j) + g^(b + j) for j < q - 1;
     # offsetting row r by r q lets one bincount count every row's fibers.

@@ -16,10 +16,10 @@ default, one line with --json.  Identical inputs produce byte-identical
 stdout; wall-clock timing goes to stderr.  Field elements are read and
 written as hex bitmasks.
 
-Exit codes: 0 success; 1 a verified claim failed; 2 bad usage or a
-violated precondition; 3 an internal cross-check mismatch (a bug); 141
-stdout was closed before the output was written (128 + SIGPIPE, as a
-shell reports it).
+Exit codes: 0 success; 1 a verified claim failed; 2 bad usage, such as
+a flag the command does not read, or a violated precondition; 3 an
+internal cross-check mismatch (a bug); 141 stdout was closed before the
+output was written (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from .bivariate import (InternalCheckError, MappingTable,
-                        check_opoly_degree, is_opolynomial, is_permutation,
+                        check_opoly_work, is_opolynomial, is_permutation,
                         opoly_normalize)
 from .boolfn import (TruthTable, anf_degree, has_affine_coset_restrictions,
                      walsh_spectrum)
@@ -56,6 +56,14 @@ def _hex_or_none(text):
 
 def _field(n: int, modulus_text) -> FieldSpec:
     return GF(n, _hex_or_none(modulus_text))
+
+
+def _refuse(args, names, what: str) -> None:
+    """Exit 2 on the first of the flags names that was given, so that a
+    flag the command does not read is never dropped silently."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to {what}")
 
 
 def _emit(report: dict, compact: bool) -> None:
@@ -135,6 +143,7 @@ def _cmd_check(args) -> dict:
 def _cmd_correspond(args) -> dict:
     field = _field(2 * args.m, args.modulus)
     if args.family == "subiaco":
+        _refuse(args, ["beta"], "the subiaco family")
         if args.b is None:
             raise ValueError("subiaco correspondence needs --b")
         b = field.el(parse_hex(args.b))
@@ -144,6 +153,7 @@ def _cmd_correspond(args) -> dict:
                   "b": f"0x{b.bits:x}", "u": args.u,
                   "modulus": f"0x{field.modulus:x}"}
     else:
+        _refuse(args, ["b", "u"], "the adelaide family")
         if args.beta is None:
             raise ValueError("adelaide correspondence needs --beta")
         beta = field.el(parse_hex(args.beta))
@@ -158,14 +168,26 @@ def _cmd_correspond(args) -> dict:
             "verdicts": {"verified": corr.verified}}
 
 
+# the flags each opoly source reads
+_OPOLY_FLAGS = {"subiaco": ("m", "case", "w", "s"),
+                "adelaide": ("m", "beta", "s"),
+                "file": ("file",),
+                "frobenius": ("m", "exponent")}
+
+
 def _opoly_table(args) -> tuple[MappingTable, dict]:
+    _refuse(args, sorted(set().union(*_OPOLY_FLAGS.values())
+                         - set(_OPOLY_FLAGS[args.source])),
+            f"the {args.source} source")
     needed = "file" if args.source == "file" else "m"
     if getattr(args, needed) is None:
         raise ValueError(f"{args.source} source needs --{needed}")
     if args.source == "subiaco":
         field = _field(args.m, args.modulus)
-        check_opoly_degree(args.m)
+        # a member is no monomial, so the test counts all q - 1 rows
+        check_opoly_work(args.m, field.mult_order)
         if args.case == 1:
+            _refuse(args, ["w"], "case 1")
             params = SubiacoParams.case_i(field)
         elif args.case == 2:
             params = SubiacoParams.case_ii(field, _hex_or_none(args.w))
@@ -207,14 +229,12 @@ def _opoly_table(args) -> tuple[MappingTable, dict]:
             raise ValueError(f"table length {size} is not a power of 2")
         m = size.bit_length() - 1
         field = _field(m, args.modulus)
-        check_opoly_degree(m)
         table = MappingTable.from_json(field, data)
         return table, {"source": "file", "file": args.file, "m": m}
     # frobenius
     if args.exponent is None:
         raise ValueError("frobenius source needs --exponent")
     field = _field(args.m, args.modulus)
-    check_opoly_degree(args.m)
     table = frobenius_map(field, args.exponent)
     return table, {"source": "frobenius", "m": args.m,
                    "exponent": args.exponent}
@@ -286,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True,
                    choices=["subiaco", "adelaide", "file", "frobenius"])
     p.add_argument("--m", type=int,
-                   help="small-field degree (unused for file source)")
+                   help="small-field degree (not for the file source)")
     p.add_argument("--case", type=int, help="subiaco case 1 | 2 | 3")
     p.add_argument("--w", help="hex case parameter")
     p.add_argument("--s", help="hex blend parameter; omit for g")

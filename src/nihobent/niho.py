@@ -193,6 +193,8 @@ def build_bent(spec: FamilySpec, strict: bool = False) -> TraceForm:
     fam, m, host = spec.family, spec.m, spec.field
     n = 2 * m
     quad_exp = (1 << m) + 1
+    if spec.r is not None and fam != "leander_kholosha":
+        raise FamilyConditionError("coefficient", f"{fam} takes no r")
 
     if fam == "quadratic":
         a = spec.a

@@ -241,6 +241,40 @@ def oracle_subiaco3_explicit(field, w, e, s):
     return entries
 
 
+def oracle_subiaco2_pair(field, w):
+    """The Subiaco case-2 base pair (f, g), w^2 + w + 1 = 0, one point
+    at a time with FieldElement arithmetic; two lists of bitmasks:
+    f = (x^4 + w x^3 + w x^2) / D^2 + w^2 x^(1/2) and
+    g = (w x^3 + w x^2 + w^3 x) / D^2 + w^2 x^(1/2), D = x^2 + w x + 1."""
+    fe, ge = [], []
+    for xb in range(field.order):
+        x = field.el(xb)
+        den = x * x + w * x + 1
+        den2 = den * den
+        root = w * w * x.sqrt()
+        fe.append(((x ** 4 + w * x ** 3 + w * x * x) / den2 + root).bits)
+        ge.append(((w * x ** 3 + w * x * x + w ** 3 * x) / den2
+                   + root).bits)
+    return fe, ge
+
+
+def oracle_subiaco2_explicit(field, w, s):
+    """The published case-2 explicit rational form (e = w) at s, one
+    point at a time with FieldElement arithmetic:
+    (x^4 + w(s w + 1)(x^3 + x^2) + s w x) / (a D^2)
+    + (w^2 + s + s^(1/2)) x^(1/2) / a, a = 1 + w s + s^(1/2)."""
+    a = 1 + w * s + s.sqrt()
+    c = w * (s * w + 1)
+    entries = []
+    for xb in range(field.order):
+        x = field.el(xb)
+        den = x * x + w * x + 1
+        entries.append(((x ** 4 + c * x ** 3 + c * x * x + s * w * x)
+                        / (a * den * den)
+                        + (w * w + s + s.sqrt()) * x.sqrt() / a).bits)
+    return entries
+
+
 def oracle_closed_form_g(b, basis, emb):
     """closed_form_g's expanded expression one embedded point at a time
     with FieldElement arithmetic, projected back; a list of bitmasks."""

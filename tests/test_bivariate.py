@@ -368,6 +368,21 @@ def test_one_row_per_beta_class(monkeypatch):
             == S.mult_order
 
 
+def test_work_limit_follows_the_rows_counted(monkeypatch):
+    # z^2 at m = 17 counts one row; two swapped entries take the
+    # monomial symmetry away, and its q - 1 rows are refused before any
+    # is counted
+    S = GF(17)
+    g = frobenius_map(S, 1)
+    assert is_opolynomial(g)
+    entries = g.array().copy()
+    entries[[2, 3]] = entries[[3, 2]]
+    monkeypatch.setattr(bivariate, "_fibers_all_two", None)
+    with pytest.raises(ValueError,
+                       match="r = 131071 rows of q = 131072 values"):
+        is_opolynomial(MappingTable(S, entries))
+
+
 def test_swapped_catalog_member_negative_control():
     # no transposition of two entries keeps the Subiaco g of GF(32) an
     # o-polynomial, and each one is still a permutation

@@ -155,6 +155,34 @@ def test_opoly_missing_input_exits_2(argv, flag, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["opoly", "--source", "subiaco", "--m", "5", "--case", "1",
+      "--w", "0x3"], "--w"),
+    (["opoly", "--source", "frobenius", "--m", "5", "--exponent", "1",
+      "--s", "0x3"], "--s"),
+    (["opoly", "--source", "file", "--file", "table.json", "--m", "5"],
+     "--m"),
+    (["opoly", "--source", "adelaide", "--m", "2", "--beta", "0x8",
+      "--case", "1"], "--case"),
+    (["correspond", "--family", "subiaco", "--m", "3", "--b", "0x5",
+      "--beta", "0x2"], "--beta"),
+    (["correspond", "--family", "adelaide", "--m", "2", "--beta", "0x8",
+      "--b", "0x5", "--u", "cube"], "--b"),
+    (["correspond", "--family", "adelaide", "--m", "2", "--beta", "0x8",
+      "--u", "cube"], "--u"),
+    (["build", "--family", "quadratic", "--m", "2", "--a", "0x1",
+      "--r", "7"], "no r"),
+    (["build", "--family", "binomial3", "--m", "3", "--b", "0x5",
+      "--r", "2"], "no r"),
+])
+def test_inapplicable_flag_exits_2(argv, flag, capsys):
+    # a flag the command would not read is refused, not dropped
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_opoly_frobenius_exponent_reduced_mod_m(capsys):
     # z^(2^N) depends on N mod m only: a huge N is neither expanded nor
     # refused, and the report still echoes N as given
@@ -287,32 +315,55 @@ def test_opoly_swapped_file_negative_control(tmp_path, capsys):
 
 
 def test_opoly_degree_limit(tmp_path, capsys, monkeypatch):
-    # the limit is checked before any table is read or evaluated
+    # the test refuses more rows times q than the full scan at m = 16;
+    # a Subiaco member counts all q - 1 rows, so it is refused before
+    # any catalog table is built, and m = 21 hits the field degree cap
     def never(*args):
-        raise AssertionError("table built above the degree limit")
+        raise AssertionError("catalog table built above the work limit")
 
-    for name in ("subiaco_fs", "subiaco_pair", "frobenius_map"):
+    for name in ("subiaco_fs", "subiaco_pair"):
         monkeypatch.setattr(cli, name, never)
-    monkeypatch.setattr(cli.MappingTable, "from_json", never)
-    # 17 and 20 hit the test's own time bound, 21 the field degree cap
-    for m, message in (("17", "m <= 16"), ("20", "m <= 16"),
-                       ("21", "field degree must be in 1..20")):
-        assert main(["opoly", "--source", "frobenius", "--m", m,
-                     "--exponent", "1"]) == 2
+    work = "r = 131071 rows of q = 131072 values"
+    for argv, message in (
+            (["--source", "subiaco", "--m", "17", "--case", "1"], work),
+            (["--source", "subiaco", "--m", "20", "--case", "3", "--w",
+              "0x3", "--s", "0x1"], "r = 1048575 rows of q = 1048576"),
+            (["--source", "frobenius", "--m", "21", "--exponent", "1"],
+             "field degree must be in 1..20")):
+        assert main(["opoly", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
 
-    table = tmp_path / "g17.json"
-    table.write_text(json.dumps(["0x0"] * (1 << 17)))
-    for argv in (["--source", "subiaco", "--m", "17", "--case", "1"],
-                 ["--source", "subiaco", "--m", "20", "--case", "3",
-                  "--w", "0x3", "--s", "0x1"],
-                 ["--source", "file", "--file", str(table)]):
-        assert main(["opoly", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "m <= 16" in captured.err
+    # a monomial with r = 1 is decided above m = 16; the identity,
+    # r = q - 1, is refused by the test itself
+    code, doc = run(capsys, "opoly", "--source", "frobenius", "--m", "17",
+                    "--exponent", "1", "--json")
+    assert code == 0 and doc["verdicts"]["is_opoly"] is True
+    table = doc["outputs"]["table"]
+    assert main(["opoly", "--source", "frobenius", "--m", "17",
+                 "--exponent", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and work in captured.err
+
+    # a file is read first: two swapped entries take the monomial
+    # symmetry away, and a table that is no permutation is no o-polynomial
+    reads = []
+    from_json = cli.MappingTable.from_json
+    monkeypatch.setattr(cli.MappingTable, "from_json",
+                        lambda *a: reads.append(1) or from_json(*a))
+    table[2], table[3] = table[3], table[2]
+    path = tmp_path / "swapped17.json"
+    path.write_text(json.dumps(table))
+    assert main(["opoly", "--source", "file", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and work in captured.err
+    assert reads == [1]
+    path.write_text(json.dumps(["0x0"] * (1 << 17)))
+    code, doc = run(capsys, "opoly", "--source", "file", "--file",
+                    str(path), "--json")
+    assert code == 0 and reads == [1, 1]
+    assert doc["verdicts"] == {"is_opoly": False, "is_permutation": False}
 
 
 def test_check_one_bit_flip_negative_control(tmp_path, capsys):

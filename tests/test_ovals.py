@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (circle_points, monomial, oracle_adelaide_f1_display,
                       oracle_adelaide_pair, oracle_blend, oracle_frobenius,
                       oracle_is_opoly, oracle_mul, oracle_subiaco1_explicit,
-                      oracle_subiaco1_pair, oracle_subiaco3_explicit,
+                      oracle_subiaco1_pair, oracle_subiaco2_explicit,
+                      oracle_subiaco2_pair, oracle_subiaco3_explicit,
                       oracle_subiaco3_pair)
 from nihobent import (GF, AdelaideParams, FamilySpec, FieldSpec,
                       InternalCheckError, MappingTable, SubiacoParams,
@@ -24,6 +25,7 @@ from nihobent import (GF, AdelaideParams, FamilySpec, FieldSpec,
                       is_opolynomial, is_permutation, opoly_normalize,
                       subiaco_fs, subiaco_fs_explicit,
                       subiaco_pair, unit_circle, unit_circle_element)
+from nihobent.bivariate import subiaco_shape
 from nihobent.gf2 import is_irreducible
 from nihobent import ovals
 from nihobent.ovals import _verify_affine_match
@@ -217,6 +219,37 @@ def test_case_i_tables_match_scalar_oracles(data):
         oracle_subiaco1_explicit(field, s)
     assert list(subiaco_fs(p, s).entries) == oracle_blend(
         field, MappingTable(field, fe), MappingTable(field, ge), p.e, s)
+
+
+@pytest.mark.parametrize("m", [2, 6, 10])
+def test_case_ii_shape_rows_match_scalar_oracles(m):
+    # the rows a whole-table case 2 would hand to subiaco_shape: pair
+    # (1, w, w, 0) and (0, w, w, w^3) with root w^2, explicit form
+    # a (1, w(s w + 1), w(s w + 1), s w) with root a (w^2 + s + s^(1/2)),
+    # a = 1 / (1 + w s + s^(1/2)); every s at m <= 6, a sample at m = 10
+    field = GF(m)
+    x = np.arange(field.order)
+    rng = random.Random(m)
+    for w in SubiacoParams.case_ii_w_options(field):
+        p = SubiacoParams.case_ii(field, w)
+        wb = w.bits
+        f, g = subiaco_pair(p)
+        fe, ge = oracle_subiaco2_pair(field, w)
+        assert list(f.entries) == fe == subiaco_shape(
+            field, x, wb, [1, wb, wb, 0], (w * w).bits).tolist()
+        assert list(g.entries) == ge == subiaco_shape(
+            field, x, wb, [0, wb, wb, (w ** 3).bits], (w * w).bits).tolist()
+        svals = range(field.order) if m <= 6 \
+            else rng.sample(range(field.order), 3)
+        for sb in svals:
+            s = field.el(sb)
+            a = (1 + w * s + s.sqrt()).inv()
+            c = a * w * (s * w + 1)
+            rows = [a.bits, c.bits, c.bits, (a * s * w).bits]
+            assert list(subiaco_fs_explicit(p, s).entries) \
+                == oracle_subiaco2_explicit(field, w, s) \
+                == subiaco_shape(field, x, wb, rows, (
+                    a * (w * w + s + s.sqrt())).bits).tolist(), sb
 
 
 @pytest.mark.parametrize("s", [0x0, 0x1, 0x6])
