@@ -14,7 +14,9 @@ Four subcommands:
 Output is a single JSON document on stdout with sorted keys: pretty by
 default, one line with --json.  Identical inputs produce byte-identical
 stdout; wall-clock timing goes to stderr.  Field elements are read and
-written as hex bitmasks.
+written as hex bitmasks.  Each mapping table in a report is written as
+one joined string of its hex names, spliced into the document that
+json.dumps makes of the rest, and the parts go to stdout in order.
 
 Exit codes: 0 success; 1 a verified claim failed; 2 bad usage, such as
 a flag the command does not read, or a violated precondition; 3 an
@@ -54,6 +56,10 @@ def _hex_or_none(text):
     return None if text is None else parse_hex(text)
 
 
+def _hex_name(value):
+    return None if value is None else f"0x{value:x}"
+
+
 def _field(n: int, modulus_text) -> FieldSpec:
     return GF(n, _hex_or_none(modulus_text))
 
@@ -67,11 +73,49 @@ def _refuse(args, names, what: str) -> None:
 
 
 def _emit(report: dict, compact: bool) -> None:
-    if compact:
-        out = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    else:
-        out = json.dumps(report, sort_keys=True, indent=2)
-    print(out)
+    """Write report to stdout as json.dumps would, with sorted keys.
+
+    json.dumps encodes the report with each MappingTable swapped for a
+    placeholder string, a NUL and then the table's index (no argv string
+    or path holds a NUL); each placeholder is then replaced by the
+    table's hex names, joined into one string rather than encoded one
+    by one.  A placeholder found other than exactly once raises
+    InternalCheckError before anything is written."""
+    tables = []
+
+    def placeholder(obj):
+        if not isinstance(obj, MappingTable):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return f"\x00{len(tables) - 1}"
+
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    text = json.dumps(report, sort_keys=True, default=placeholder, **layout)
+    # json.dumps calls placeholder in document order, so each token is
+    # found after the one before it
+    spans = []
+    start = 0
+    for i in range(len(tables)):
+        token = f'"\\u0000{i}"'
+        at = text.find(token, start)
+        if at < 0 or text.count(token) != 1:
+            raise InternalCheckError(
+                f"table placeholder {i} is not in the report exactly once")
+        spans.append((start, at))
+        start = at + len(token)
+    write = sys.stdout.write
+    for (begin, at), table in zip(spans, tables):
+        if compact:
+            head, sep, tail = '["', '","', '"]'
+        else:
+            line = text[text.rfind("\n", 0, at) + 1:at]
+            indent = line[:len(line) - len(line.lstrip(" "))]
+            pad = indent + "  "
+            head, sep, tail = f'[\n{pad}"', f'",\n{pad}"', f'"\n{indent}]'
+        write(text[begin:at] + head)
+        write(sep.join(table.to_json()))
+        write(tail)
+    write(text[start:] + "\n")
 
 
 def _spectrum_summary(values) -> dict:
@@ -98,6 +142,10 @@ def _cmd_build(args) -> dict:
     a = field.el(parse_hex(args.a)) if args.a is not None else None
     b = field.el(parse_hex(args.b)) if args.b is not None else None
     spec = FamilySpec(args.family, args.m, a=a, b=b, r=args.r, field=field)
+    # build_bent reads strict for binomial3 only
+    if args.strict and spec.family != "binomial3":
+        raise ValueError(f"--strict does not apply to the {spec.family} "
+                         f"family")
     form = build_bent(spec, strict=args.strict)
     tt = form.truth_table()
     report = family_report(spec)
@@ -163,8 +211,8 @@ def _cmd_correspond(args) -> dict:
                   "modulus": f"0x{field.modulus:x}"}
     return {"command": "correspond", "inputs": inputs,
             "outputs": {"correspondence": corr.to_json(),
-                        "member": corr.member.to_json(),
-                        "extracted": corr.extracted.to_json()},
+                        "member": corr.member,
+                        "extracted": corr.extracted},
             "verdicts": {"verified": corr.verified}}
 
 
@@ -197,27 +245,29 @@ def _opoly_table(args) -> tuple[MappingTable, dict]:
             params = SubiacoParams.case_iii(field, parse_hex(args.w))
         else:
             raise ValueError("--case must be 1, 2 or 3")
+        s = _hex_or_none(args.s)
         inputs = {"source": "subiaco", "m": args.m, "case": args.case,
-                  "w": f"0x{params.w.bits:x}", "s": args.s}
-        if args.s is None:
+                  "w": f"0x{params.w.bits:x}", "s": _hex_name(s)}
+        if s is None:
             table = subiaco_pair(params)[1]
         else:
-            table = subiaco_fs(params, parse_hex(args.s))
+            table = subiaco_fs(params, s)
         return table, inputs
     if args.source == "adelaide":
         if args.beta is None:
             raise ValueError("adelaide source needs --beta")
         big = _field(2 * args.m, args.modulus)
-        params = AdelaideParams(big.el(parse_hex(args.beta)),
-                                half_embedding(big))
+        beta = big.el(parse_hex(args.beta))
+        params = AdelaideParams(beta, half_embedding(big))
+        s = _hex_or_none(args.s)
         inputs = {"source": "adelaide", "m": args.m,
-                  "beta": args.beta, "s": args.s}
-        if args.s is None:
+                  "beta": f"0x{beta.bits:x}", "s": _hex_name(s)}
+        if s is None:
             table = adelaide_pair(params)[1]
-        elif parse_hex(args.s) == 1:
+        elif s == 1:
             table = adelaide_f1(params)
         else:
-            table = adelaide_fs(params, parse_hex(args.s))
+            table = adelaide_fs(params, s)
         return table, inputs
     if args.source == "file":
         with open(args.file, "r", encoding="ascii") as fh:
@@ -246,10 +296,9 @@ def _cmd_opoly(args) -> dict:
     perm = is_permutation(table)
     normalized = None
     if table.array()[0] != table.array()[1]:
-        normalized = opoly_normalize(table).to_json()
+        normalized = opoly_normalize(table)
     return {"command": "opoly", "inputs": inputs,
-            "outputs": {"table": table.to_json(),
-                        "normalized": normalized},
+            "outputs": {"table": table, "normalized": normalized},
             "verdicts": {"is_opoly": opoly,
                          "is_permutation": perm}}
 
@@ -323,7 +372,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report = args.run(args)
+        _emit(args.run(args), args.json)
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
@@ -331,11 +380,6 @@ def main(argv=None) -> int:
         print(f"error: internal cross-check failed: {exc}",
               file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(report, args.json)
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the
         # interpreter's final flush does not raise again
@@ -343,6 +387,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"timing_ms={int((time.perf_counter() - started) * 1000)}",
           file=sys.stderr)
     return 0

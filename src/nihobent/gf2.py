@@ -469,8 +469,8 @@ class FieldSpec:
         """Object array of the names "0x..." of all elements in bitmask
         order; indexing it with a table of bitmasks names the whole table
         at once.  Holds 2^k strings once built."""
-        return np.array([f"0x{x:x}" for x in range(self.order)],
-                        dtype=object)
+        # hex(x) spells f"0x{x:x}", at a third of its cost
+        return np.array(list(map(hex, range(self.order))), dtype=object)
 
     # -- element construction ---------------------------------------------
 

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import nihobent
-from nihobent import boolfn, cli
+from nihobent import (GF, InternalCheckError, MappingTable, SubiacoParams,
+                      boolfn, cli, unit_circle)
 from nihobent.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nihobent.__file__)))
@@ -174,6 +175,10 @@ def test_opoly_missing_input_exits_2(argv, flag, capsys):
       "--r", "7"], "no r"),
     (["build", "--family", "binomial3", "--m", "3", "--b", "0x5",
       "--r", "2"], "no r"),
+    (["build", "--family", "quadratic", "--m", "2", "--a", "0x1",
+      "--strict"], "--strict"),
+    (["build", "--family", "leander-kholosha", "--m", "3", "--strict"],
+     "--strict"),
 ])
 def test_inapplicable_flag_exits_2(argv, flag, capsys):
     # a flag the command would not read is refused, not dropped
@@ -181,6 +186,20 @@ def test_inapplicable_flag_exits_2(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("m, b, code", [(2, "0x6", 0), (2, "0x2", 2),
+                                        (3, "0x5", 0)])
+def test_build_strict_applies_to_binomial3(m, b, code, capsys):
+    # 0x6 is a fifth power in GF(16) and 0x2 is not; at odd m strict mode
+    # has no condition to enforce and is still accepted
+    argv = ["build", "--family", "binomial3", "--m", str(m), "--b", b]
+    assert main([*argv, "--strict"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "fifth power" in captured.err
+    else:
+        assert json.loads(captured.out)["inputs"]["strict"] is True
 
 
 def test_opoly_frobenius_exponent_reduced_mod_m(capsys):
@@ -279,13 +298,21 @@ def test_misspelled_hex_file_entry_and_index_exit_2(tmp_path, capsys):
 
 
 def test_hex_spellings_give_one_stdout(capsys):
-    # the report names b by its value, so 0x1f, 0X1F and 1f print alike
-    outs = []
-    for spelled in ("0x1f", "0X1F", "1f"):
-        assert main(["correspond", "--family", "subiaco", "--m", "3",
-                     "--b", spelled]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] and outs.count(outs[0]) == 3
+    # the report names each value as read, so 0x1f, 0X1F and 1f print alike
+    for argv, value, key in (
+            (["correspond", "--family", "subiaco", "--m", "3", "--b"],
+             "1f", "b"),
+            (["opoly", "--source", "subiaco", "--m", "5", "--case", "1",
+              "--s"], "1f", "s"),
+            # 0x1d lies on the unit circle of GF(2^8)
+            (["opoly", "--source", "adelaide", "--m", "4", "--beta"],
+             "1d", "beta")):
+        outs = []
+        for spelled in (f"0x{value}", f"0X{value.upper()}", value):
+            assert main([*argv, spelled]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs.count(outs[0]) == 3
+        assert json.loads(outs[0])["inputs"][key] == f"0x{value}"
 
 
 @pytest.mark.parametrize("size", [0, 3, 6])
@@ -531,6 +558,78 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+
+
+def _table_calls(tmp_path) -> list:
+    """Every opoly source and both correspond families at m = 2..8, with
+    the parameters each m admits."""
+    calls = []
+    for m in range(2, 9):
+        opoly = ["opoly", "--m", str(m), "--source"]
+        cases = [["--case", "1"]] if m % 2 else []
+        if m % 4 == 2:
+            cases.append(["--case", "2"])
+        # case 3 has no w at m = 2
+        for w in SubiacoParams.case_iii_w_options(GF(m))[:1]:
+            cases += [["--case", "3", "--w", hex(w.bits)],
+                      ["--case", "3", "--w", hex(w.bits), "--s", "0x1"]]
+        calls += [[*opoly, "subiaco", *case] for case in cases]
+        calls.append([*opoly, "frobenius", "--exponent", "1"])
+        # table[0] == table[1], so normalized is null
+        path = tmp_path / f"halved{m}.json"
+        path.write_text(json.dumps([hex(x >> 1) for x in range(1 << m)]))
+        calls.append(["opoly", "--source", "file", "--file", str(path)])
+        calls.append(["correspond", "--family", "subiaco", "--m", str(m),
+                      "--b", "0x1"])
+        if m % 2 == 0:
+            beta = hex(unit_circle(GF(2 * m))[1])
+            calls += [[*opoly, "adelaide", "--beta", beta, *s]
+                      for s in ([], ["--s", "0x1"], ["--s", "0x2"])]
+            calls.append(["correspond", "--family", "adelaide",
+                          "--m", str(m), "--beta", beta])
+    return calls
+
+
+def test_spliced_tables_match_json_dumps(tmp_path, monkeypatch, capsys):
+    # the old path, json.dumps of the report with to_json() lists, is the
+    # oracle for the spliced output in both layouts
+    reports = []
+    real_emit = cli._emit
+
+    def emit(report, compact):
+        reports.append(report)
+        real_emit(report, compact)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    for argv in _table_calls(tmp_path):
+        for compact in (False, True):
+            assert main(argv + ["--json"] * compact) == 0, argv
+            out = capsys.readouterr().out
+            report = reports[-1]
+            tables = [v for v in report["outputs"].values()
+                      if isinstance(v, MappingTable)]
+            assert len(tables) == (2 if argv[0] == "correspond" or
+                                   report["outputs"]["normalized"] else 1)
+            layout = ({"separators": (",", ":")} if compact
+                      else {"indent": 2})
+            assert out == json.dumps(report, sort_keys=True,
+                                     default=lambda t: t.to_json(),
+                                     **layout) + "\n", argv
+
+
+def test_forged_placeholder_exits_3_before_any_output(monkeypatch, capsys):
+    # a string that already spells table 0's placeholder makes the token
+    # occur twice: _emit refuses it before it writes anything
+    table = MappingTable(GF(2), [0, 1, 2, 3])
+    for compact in (False, True):
+        with pytest.raises(InternalCheckError, match="placeholder 0"):
+            cli._emit({"a": "\x000", "b": table}, compact)
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "is_permutation", lambda table: "\x000")
+    assert main(["opoly", "--source", "frobenius", "--m", "4",
+                 "--exponent", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "placeholder 0" in captured.err
 
 
 CLI_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),

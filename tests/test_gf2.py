@@ -643,6 +643,14 @@ def test_elements_take_integer_bitmasks_only():
         GF16.el(np.int64(16))
 
 
+def test_hex_names_match_the_format_spelling():
+    # hex() builds the names; every table on stdout is indexed from them
+    for k in range(1, 13):
+        names = GF(k).hex_names()
+        assert names.dtype == object
+        assert names.tolist() == [f"0x{x:x}" for x in range(1 << k)]
+
+
 def test_gf_cache_and_eq():
     assert GF(4) is GF(4, 0x13)
     assert GF(4) == GF(4, 0x13)
