@@ -142,10 +142,6 @@ def _cmd_build(args) -> dict:
     a = field.el(parse_hex(args.a)) if args.a is not None else None
     b = field.el(parse_hex(args.b)) if args.b is not None else None
     spec = FamilySpec(args.family, args.m, a=a, b=b, r=args.r, field=field)
-    # build_bent reads strict for binomial3 only
-    if args.strict and spec.family != "binomial3":
-        raise ValueError(f"--strict does not apply to the {spec.family} "
-                         f"family")
     form = build_bent(spec, strict=args.strict)
     tt = form.truth_table()
     report = family_report(spec)
@@ -158,12 +154,10 @@ def _cmd_build(args) -> dict:
     }
     if args.out:
         tt.save(args.out)
-    verdicts: dict = {}
-    if not args.skip_check:
-        verdicts = _check_verdicts(tt, field, walsh_spectrum(tt))
-        expected = report.expected_degree
-        verdicts["degree_matches_expected"] = \
-            None if expected is None else verdicts["degree"] == expected
+    verdicts = _check_verdicts(tt, field, walsh_spectrum(tt))
+    expected = report.expected_degree
+    verdicts["degree_matches_expected"] = \
+        None if expected is None else verdicts["degree"] == expected
     return {"command": "build", "inputs": spec.to_json()
             | {"modulus": f"0x{field.modulus:x}", "strict": args.strict},
             "outputs": outputs, "verdicts": verdicts}
@@ -324,8 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", help="hex reduction polynomial of GF(2^n)")
     p.add_argument("--strict", action="store_true",
                    help="enforce the classical fifth-power condition")
-    p.add_argument("--skip-check", action="store_true",
-                   help="skip the bentness/degree verdicts")
     p.add_argument("--out", help="write the truth table to this file")
     p.add_argument("--json", action="store_true",
                    help="compact single-line output")

@@ -22,6 +22,8 @@ Families:
 For binomial3 with m = 2 (mod 4) the classical statement asks b to be a
 fifth power; that restriction is known to be unnecessary, so the builder
 only enforces it in strict mode and otherwise just reports it.
+
+Options: quadratic a; binomials b, a; leander_kholosha a, r; binomial3 strict.
 """
 
 from __future__ import annotations
@@ -189,10 +191,14 @@ class FamilySpec:
 
 def build_bent(spec: FamilySpec, strict: bool = False) -> TraceForm:
     """The family member as a TraceForm.  strict restores the classical
-    fifth-power requirement on b for binomial3 with m = 2 (mod 4)."""
+    fifth-power requirement on b for binomial3 with m = 2 (mod 4); any
+    option the family does not read is refused."""
     fam, m, host = spec.family, spec.m, spec.field
     n = 2 * m
     quad_exp = (1 << m) + 1
+    if strict and fam != "binomial3":
+        raise FamilyConditionError(
+            "coefficient", f"--strict does not apply to the {fam} family")
     if spec.r is not None and fam != "leander_kholosha":
         raise FamilyConditionError("coefficient", f"{fam} takes no r")
 

@@ -15,9 +15,9 @@ and explicit forms are coefficient rows for bivariate.subiaco_shape.
 Case 2 is still evaluated point by point in FieldElement arithmetic,
 for a measured reason, not a mathematical one: the benchmark runner
 keeps a record per completed item, and a port of case 2 alone took the
-survey benchmark from 1022-1263 to 2106-2718 items/s but its peak RSS
-from 47.3-50.3 to 60.2-67.2 MiB, +27 to +34% against its 10% bound (two
-rounds of 3 alternating pairs, 2 cores, Python 3.11.7, numpy 2.4.6);
+survey benchmark from 1607-1958 to 2528-4442 items/s but its peak RSS
+from 54.2-58.2 to 65.2-87.3 MiB, +20 to +50% against its 10% bound (3
+alternating pairs of 28 s runs, 2 cores, Python 3.11.7, numpy 2.4.6);
 case 2 follows once that memory no longer grows with throughput.  The
 Adelaide catalog (m even) is defined through relative traces of a
 unit-circle element beta of GF(2^n), so it is evaluated inside the big

@@ -6,6 +6,8 @@ sums, brute-force searches over small parameter spaces.  Frozen
 expected values in the test modules were produced by these oracles.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import settings, strategies as st
 
@@ -164,6 +166,53 @@ def oracle_is_opoly(entries, field):
         if any(c != 2 for c in seen.values()):
             return False
     return True
+
+
+@functools.cache
+def oracle_opolynomials(m):
+    """Every o-polynomial of GF(2^m) normalized to G(0) = 0 and G(1) = 1,
+    as tuples of bitmasks in lexicographic order.  G is one exactly when
+    it is a permutation and, from every point y, the slopes
+    (G(z) + G(y)) / (z + y) over z != y are distinct: these q - 1 slopes
+    are then every beta != 0 once, so z -> G(z) + beta z meets
+    G(y) + beta y at exactly one z != y.  Backtracking
+    assigns G(2), G(3), ... in turn and prunes at the first repeated
+    slope; products and inverses come from one schoolbook q x q table."""
+    from nihobent import GF
+    modulus, q = GF(m).modulus, 1 << m
+    mul = [[oracle_mul(x, y, modulus, m) for y in range(q)]
+           for x in range(q)]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    g = [0, 1] + [0] * (q - 2)
+    # bit s of used[y] is set once some assigned z has slope s from y;
+    # the slope of 0 and 1 is 1
+    used = [2, 2] + [0] * (q - 2)
+    found = []
+
+    def extend(z, free):
+        if z == q:
+            found.append(tuple(g))
+            return
+        for v in range(q):
+            if not free >> v & 1:
+                continue
+            bits, mine = [], 0
+            for y in range(z):
+                bit = 1 << mul[v ^ g[y]][inv[z ^ y]]
+                if (used[y] | mine) & bit:
+                    break
+                bits.append(bit)
+                mine |= bit
+            else:
+                g[z], used[z] = v, mine
+                for y, bit in enumerate(bits):
+                    used[y] ^= bit
+                extend(z + 1, free & ~(1 << v))
+                for y, bit in enumerate(bits):
+                    used[y] ^= bit
+
+    extend(2, (1 << q) - 4)
+    return tuple(found)
 
 
 def oracle_blend(field, f, g, e, s):

@@ -1,6 +1,9 @@
 """Bivariate form, slope-map extraction, o-polynomial predicates,
 closed forms and small-field trace identities."""
 
+import itertools
+import json
+import os
 import random
 import tracemalloc
 from math import gcd
@@ -14,6 +17,7 @@ from conftest import (bent_or_mutated, circle_points, monomial,
                       oracle_extract,
                       oracle_extract_h_mu, oracle_g_from_h, oracle_is_opoly,
                       oracle_is_permutation, oracle_normalize,
+                      oracle_opolynomials,
                       oracle_table_json, oracle_trace_identities,
                       oracle_two_to_one, table_from_function)
 from nihobent import (GF, AdelaideParams, BasisPair, FamilySpec,
@@ -412,6 +416,94 @@ def test_opoly_working_set_bound():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+CENSUS_COUNTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "opoly_census_counts.json")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_census_members_are_accepted(m):
+    with open(CENSUS_COUNTS, encoding="ascii") as fh:
+        assert len(oracle_opolynomials(m)) == json.load(fh)[str(m)]
+    S = GF(m)
+    for entries in oracle_opolynomials(m):
+        assert is_opolynomial(MappingTable(S, entries)), entries
+
+
+@pytest.mark.parametrize("m, size", [(2, 2), (3, 720)])
+def test_census_is_every_accepted_permutation(m, size):
+    # every normalized permutation, G(0) = 0 and G(1) = 1, in
+    # lexicographic order, the order the census lists its members in
+    S = GF(m)
+    tables = [(0, 1, *rest)
+              for rest in itertools.permutations(range(2, S.order))]
+    assert len(tables) == size
+    accepted = tuple(t for t in tables if is_opolynomial(MappingTable(S, t)))
+    assert accepted == oracle_opolynomials(m)
+
+
+def test_census_rejects_sampled_permutations_outside_it():
+    # m = 4 has 14! normalized permutations: a seeded sample of them, and
+    # one seeded transposition of each census member, which leaves the
+    # table a normalized permutation one step from an o-polynomial
+    S = GF(4)
+    census = oracle_opolynomials(4)
+    members = set(census)
+    rng = random.Random(4)
+    rest = list(range(2, S.order))
+    sample = []
+    for _ in range(2000):
+        rng.shuffle(rest)
+        sample.append((0, 1, *rest))
+    for entries in census:
+        a, b = rng.sample(range(2, S.order), 2)
+        swapped = list(entries)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        sample.append(tuple(swapped))
+    outside = [t for t in sample if t not in members]
+    assert len(outside) >= 2000
+    for entries in outside:
+        assert not is_opolynomial(MappingTable(S, entries)), entries
+
+
+def _named_monomials(m):
+    """The Segre, Glynn I and Glynn II exponents of odd m, reduced mod
+    2^m - 1: 6, 3 sigma + 4 and sigma + gamma, with sigma^2 = 2 and
+    gamma^4 = 2 (mod 2^m - 1)."""
+    sigma = 1 << (m + 1) // 2
+    gamma = 1 << ((m + 1) // 4 if m % 4 == 3 else (3 * m + 1) // 4)
+    n = (1 << m) - 1
+    return {"segre": 6 % n, "glynn1": (3 * sigma + 4) % n,
+            "glynn2": (sigma + gamma) % n}
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+def test_named_monomial_hyperovals(m, monkeypatch):
+    S = GF(m)
+    z = np.arange(S.order)
+    named = _named_monomials(m)
+    tables = {d: MappingTable(S, S.table_pow(z, d))
+              for d0 in named.values() for d in (d0 - 1, d0, d0 + 1)}
+    verdicts = {d: is_opolynomial(g) for d, g in tables.items()}
+    for name, d in named.items():
+        assert verdicts[d] and bivariate._scan_rows(tables[d]) == 1, name
+        # negative controls: the exponent off by one either way
+        assert not verdicts[d - 1] and not verdicts[d + 1], name
+    if m <= 9:
+        # the full scan of all q - 1 rows gives the same verdicts
+        monkeypatch.setattr(bivariate, "_scan_rows",
+                            lambda g: g.field.mult_order)
+        assert {d: is_opolynomial(g) for d, g in tables.items()} \
+            == verdicts
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_segre_exponent_at_even_m_is_no_opolynomial(m):
+    # gcd(6, 2^m - 1) = 3 at even m, so z^6 is not even a permutation
+    S = GF(m)
+    g = MappingTable(S, S.table_pow(np.arange(S.order), 6))
+    assert not is_permutation(g) and not is_opolynomial(g)
 
 
 @given(st.integers(1, 6), st.data())

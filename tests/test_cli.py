@@ -202,6 +202,22 @@ def test_build_strict_applies_to_binomial3(m, b, code, capsys):
         assert json.loads(captured.out)["inputs"]["strict"] is True
 
 
+def test_build_has_no_skip_check(capsys):
+    # build always writes its bent, degree and Niho verdicts, so a flag
+    # that would skip them is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--family", "binomial3", "--m", "3", "--b", "0x5",
+              "--skip-check"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--skip-check" in captured.err
+    code, doc = run(capsys, "build", "--family", "binomial3", "--m", "3",
+                    "--b", "0x5")
+    assert code == 0
+    assert sorted(doc["verdicts"]) == ["bent", "degree",
+                                       "degree_matches_expected", "niho"]
+
+
 def test_opoly_frobenius_exponent_reduced_mod_m(capsys):
     # z^(2^N) depends on N mod m only: a huge N is neither expanded nor
     # refused, and the report still echoes N as given

@@ -142,6 +142,29 @@ def test_strict_fifth_power_mode():
     build_bent(FamilySpec("binomial3", 2, b=GF16.el(0x6)), strict=True)
 
 
+def _lk_a(field, m):
+    return next(field.el(x) for x in range(field.order)
+                if (field.el(x) + field.el(x).frob(m)).bits == 1)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("quadratic", 2, a=GF16.el(1)),
+    FamilySpec("binomial4", 3, b=GF64.el(0x5)),
+    FamilySpec("binomial6", 2, b=GF16.el(0x2)),
+    FamilySpec("adelaide", 2, b=GF16.el(0x2)),
+    FamilySpec("leander_kholosha", 3, a=_lk_a(GF64, 3), r=2),
+], ids=lambda spec: spec.family)
+def test_strict_is_refused_outside_binomial3(spec):
+    with pytest.raises(FamilyConditionError, match="--strict") as e:
+        build_bent(spec, strict=True)
+    assert e.value.kind == "coefficient"
+    # the member itself is valid: without strict it builds, and
+    # family_report, which never passes strict, finds no problem
+    assert is_bent(build_bent(spec).truth_table())
+    rep = family_report(spec)
+    assert rep.applicable and rep.problems == []
+
+
 def test_family_spec_accepts_dash_name():
     spec = FamilySpec("leander-kholosha", 3,
                       a=GF64.el(next(x for x in range(64)
